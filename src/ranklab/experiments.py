@@ -26,6 +26,7 @@ from .matrix_core import (
     DistributionSpec,
     RngStream,
     batch_exact_ranks,
+    exact_rank,
     random_prime,
     sample_array,
 )
@@ -250,9 +251,10 @@ def exhaustive_deficiency(dist: DistributionSpec, n: int) -> ExactDeficiency:
     """Exact deficiency probabilities by enumerating every matrix, n <= 4.
 
     Atom probabilities enter as exact binary rationals, so the output
-    fractions are the true law of the (float-valued) spec. Ranks use the
-    certified modular path: small integer entries keep the Hadamard bound
-    far below a 31-bit prime, which makes the batch answers provably exact.
+    fractions are the true law of the (float-valued) spec. Ranks come from
+    batch_exact_ranks, whose primes are drawn from a fixed stream: small
+    atoms take its certified paths, and large ones are settled by the second
+    prime and the exact fallback.
     """
     if not (1 <= n <= 4):
         raise ValueError("exhaustive enumeration capped at n = 4")
@@ -265,7 +267,7 @@ def exhaustive_deficiency(dist: DistributionSpec, n: int) -> ExactDeficiency:
     values = tuple(int(v) for v, _ in atoms)
     weights = [Fraction(p) for _, p in atoms]
     base = len(atoms)
-    primes = (2_147_483_647, 2_147_483_629)
+    primes = _draw_primes(RngStream(0))
 
     per_def: dict[int, Fraction] = {}
     total = Fraction(0)
@@ -608,13 +610,11 @@ def qgt_adversarial(a, k: int, q: float | None = None) -> AdversarialReport:
     m, n = arr.shape
     if not (1 <= k < m):
         raise ValueError("need 1 <= k < m")
-    J = [j for j in range(n) if np.all(arr[:k, j] == 1)]
+    J = np.flatnonzero((arr[:k] == 1).all(axis=0))
     has = len(J) >= m
     rank = deficiency = None
     if has:
-        sub = arr[:, J[:m]]
-        primes = (2_147_483_647, 2_147_483_629)
-        rank = int(batch_exact_ranks(sub[None, :, :], primes)[0])
+        rank = exact_rank(arr[:, J[:m]])
         deficiency = m - rank
     expected = sizing_ok = None
     if q is not None:

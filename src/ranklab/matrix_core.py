@@ -456,38 +456,68 @@ def random_prime(rng: RngStream | np.random.Generator, bits: int = 61) -> int:
             return c
 
 
-# Batched GF(p) elimination for stacks of small matrices. Requires
-# p < 2^31 so that a*b - c*d stays inside int64. Rows below the pivot are
-# updated division-free (row <- piv*row - lead*pivrow), which rescales rows
-# by nonzero constants and therefore preserves rank.
-def _batch_rank_mod(mats: np.ndarray, p: int) -> np.ndarray:
-    if p >= 1 << 31:
-        raise ValueError("batched kernel needs a prime below 2^31")
-    a = (np.asarray(mats, dtype=np.int64) % p).copy()
-    nmat, nrow, ncol = a.shape
-    r = np.zeros(nmat, dtype=np.int64)
-    row_ix = np.arange(nrow)
+# Float64 Bareiss is exact while every intermediate piv*x - lead*y stays
+# below 2^53; both products are minors, so 2*H^2 < 2^53 suffices.
+_FLOAT_EXACT_LOG_BOUND = 26 * math.log(2)
+
+
+def _eliminate(a: np.ndarray, p: int | None) -> np.ndarray:
+    """Ranks of a stack laid out (col, row, matrix), eliminated in place.
+
+    With a prime p the entries are int64 residues and the arithmetic is
+    GF(p); p < 2^31 keeps piv*x - lead*y inside int64. With p None the
+    entries are float64 integers and the update is fraction-free (Bareiss):
+    each step divides by the previous pivot, so every entry stays a minor of
+    the input and every division is exact.
+
+    Rows are never swapped. A matrix's pivot is its first row with a nonzero
+    entry in the column; the update cancels the pivot row itself to zero,
+    so it never pivots again, and every other row is rescaled, including
+    rows whose lead is 0 (Bareiss needs them to stay minors). Only columns
+    right of the pivot are updated. In a matrix without a pivot every lead
+    is 0, and scale 1 with divisor 1 makes the update a no-op there.
+    Matrices sit on the last axis, so every step runs over long contiguous
+    runs.
+    """
+    ncol, nrow, nmat = a.shape
+    rank = np.zeros(nmat, dtype=np.int64)
+    prev = np.ones(nmat, dtype=a.dtype)
     mat_ix = np.arange(nmat)
+    one = a.dtype.type(1)
     for col in range(ncol):
-        colv = a[:, :, col]
-        active = row_ix[None, :] >= r[:, None]
-        nz = (colv != 0) & active
-        has = nz.any(axis=1)
+        lead = a[col]
+        nz = lead != 0
+        has = nz.any(axis=0)
         if not has.any():
             continue
-        rc = np.minimum(r, nrow - 1)
-        piv = np.where(has, nz.argmax(axis=1), rc)
-        tmp = a[mat_ix, rc].copy()
-        a[mat_ix, rc] = a[mat_ix, piv]
-        a[mat_ix, piv] = tmp
-        piv_rows = a[mat_ix, rc]
-        pv = piv_rows[:, col]
-        lead = a[:, :, col]
-        below = (row_ix[None, :] > rc[:, None]) & has[:, None]
-        upd = (pv[:, None, None] * a - lead[:, :, None] * piv_rows[:, None, :]) % p
-        a = np.where(below[:, :, None], upd, a)
-        r += has
-    return r
+        rank += has
+        piv = nz.argmax(axis=0)
+        pv = lead[piv, mat_ix]
+        rest = a[col + 1 :]
+        piv_row = rest[:, piv, mat_ix]
+        rest *= np.where(has, pv, one)
+        rest -= lead * piv_row[:, None, :]
+        if p is None:
+            rest /= np.where(has, prev, one)
+            prev = np.where(has, pv, prev)
+        else:
+            rest %= p
+    return rank
+
+
+def _batch_rank_mod(mats: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over GF(p) of a (matrix, row, col) stack; needs p < 2^31."""
+    if p >= 1 << 31:
+        raise ValueError("batched kernel needs a prime below 2^31")
+    a = np.asarray(mats).transpose(2, 1, 0).astype(np.int64, order="C")
+    a %= p
+    return _eliminate(a, p)
+
+
+def _batch_rank_float(mats: np.ndarray) -> np.ndarray:
+    """Exact ranks of a (matrix, row, col) stack by float64 Bareiss; only
+    valid when the stack's Hadamard bound is below _FLOAT_EXACT_LOG_BOUND."""
+    return _eliminate(np.asarray(mats).transpose(2, 1, 0).astype(np.float64, order="C"), None)
 
 
 def _hadamard_log_bound(max_abs_entry: float, side: int) -> float:
@@ -500,28 +530,39 @@ def _hadamard_log_bound(max_abs_entry: float, side: int) -> float:
 def batch_exact_ranks(
     mats: np.ndarray, primes: tuple[int, int], counters: dict | None = None
 ) -> np.ndarray:
-    """Ranks for a stack of integer matrices, modular fast path first.
+    """Exact ranks for a stack of integer matrices, by one of three paths.
 
-    Ranks are computed mod primes[0]; full-rank answers are certified
-    (modular rank never exceeds the exact one), and when the Hadamard bound
-    of the stack is below the prime every answer is provably exact.
-    Otherwise deficient-looking matrices are recomputed mod primes[1] and
-    any disagreement falls back to the fraction-free exact engine.
+    H is the Hadamard bound of the stack, (max|a| * sqrt(s))^s with
+    s = min(rows, cols); it bounds every minor.
+
+    1. H < primes[0] and 2*H^2 < 2^53: float64 Bareiss elimination. Every
+       intermediate value is an integer below 2^53, so the ranks are exact.
+    2. H < primes[0] otherwise: ranks mod primes[0]. No nonzero minor is
+       divisible by the prime, so the ranks are exact.
+    3. Otherwise: ranks mod primes[0]. Full rank is certified (modular rank
+       never exceeds the exact one); deficient-looking matrices are ranked
+       again mod primes[1], and any disagreement falls back to exact_rank.
 
     Callers must pass independently drawn random primes (31-bit, below the
-    batched kernel's limit). A wrong answer then requires both primes to
-    divide the same nonzero minor, probability on the order of
+    batched kernel's limit). A wrong answer on path 3 then requires both
+    primes to divide the same nonzero minor, probability on the order of
     (log(minor)/2^25)^2 per matrix, which is negligible; fixed small primes
-    void the guarantee. `counters`, if given, collects fallback statistics
-    under keys "second_prime" and "exact_fallback".
+    void the guarantee. `counters`, if given, adds the matrices ranked on
+    path 1 under "float_bareiss", those re-ranked mod primes[1] under
+    "second_prime" and those sent to exact_rank under "exact_fallback".
     """
     mats = np.asarray(mats, dtype=np.int64)
     nmat, nrow, ncol = mats.shape
     full = min(nrow, ncol)
     p1, p2 = primes
-    r1 = _batch_rank_mod(mats, p1)
     max_abs = float(np.abs(mats).max(initial=0))
-    if _hadamard_log_bound(max_abs, full) < math.log(p1):
+    log_h = _hadamard_log_bound(max_abs, full)
+    if log_h < math.log(p1) and log_h < _FLOAT_EXACT_LOG_BOUND:
+        if counters is not None:
+            counters["float_bareiss"] = counters.get("float_bareiss", 0) + nmat
+        return _batch_rank_float(mats)
+    r1 = _batch_rank_mod(mats, p1)
+    if log_h < math.log(p1):
         return r1
     suspect = np.nonzero(r1 < full)[0]
     if suspect.size == 0:

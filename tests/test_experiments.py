@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pathlib
@@ -28,6 +29,8 @@ from ranklab.matrix_core import (
     RngStream,
     bernoulli,
     centered_bernoulli,
+    exact_rank,
+    parse_distribution,
     rademacher,
     uniform_int,
 )
@@ -99,6 +102,19 @@ def test_exhaustive_rejects_out_of_scope():
         exhaustive_deficiency(rademacher(), 5)
     with pytest.raises(ValueError, match="integrality"):
         exhaustive_deficiency(centered_bernoulli(0.25), 2)
+
+
+def test_exhaustive_atoms_chosen_against_fixed_primes():
+    # 2147483638^2 - 9^2 = (2^31 - 1)(2^31 - 19): ranks modulo exactly those
+    # two primes agree that some nonsingular 2 x 2 matrices are singular
+    values = (9, 2147483638)
+    dist = parse_distribution("atoms:2147483638:0.5,9:0.5")
+    want = Fraction(
+        sum(exact_rank(np.reshape(m, (2, 2))) < 2 for m in itertools.product(values, repeat=4)),
+        16,
+    )
+    assert want == Fraction(6, 16)
+    assert exhaustive_deficiency(dist, 2).prob_at_least(1) == want
 
 
 # --- monte carlo estimator -------------------------------------------------------
@@ -182,6 +198,17 @@ def test_centering_bernoulli_gives_sign_matrix_law():
     )
     signs = estimate_deficiency(RankTrialConfig(dist=rademacher(), **seeds))
     assert centered.counts == signs.counts
+
+
+@pytest.mark.parametrize(
+    "dist,n,trials,float_path",
+    [(rademacher(), 10, 2100, True), (bernoulli(0.5), 16, 300, False)],
+)
+def test_estimator_counts_float_path(dist, n, trials, float_path):
+    cfg = RankTrialConfig(dist=dist, n=n, k_max=2, trials=trials, master_seed=3)
+    counters: dict = {}
+    estimate_deficiency(cfg, counters)
+    assert counters.get("float_bareiss", 0) == (trials if float_path else 0)
 
 
 def test_histogram_validation():
@@ -316,6 +343,13 @@ def test_adversarial_starved_regime_reports_small_J():
     assert rep.sizing_ok is False
     with pytest.raises(ValueError):
         qgt_adversarial(a, k=7)
+
+
+def test_adversarial_rank_is_exact_for_prime_product_entries():
+    # det = (2^31 - 1)(2^31 - 19) is nonzero but vanishes modulo both primes,
+    # so a rank check modulo that pair would report deficiency 1
+    rep = qgt_adversarial([[1, 1], [0, (2**31 - 1) * (2**31 - 19)]], k=1)
+    assert rep.rank == 2 and rep.deficiency == 0
 
 
 # --- kernel probe --------------------------------------------------------------------

@@ -282,6 +282,152 @@ def test_batch_rank_mod_rectangular():
     assert got.tolist() == [2, 1, 0]
 
 
+# --- batched kernel properties ----------------------------------------------
+
+P31 = 2**31 - 1
+FLOAT_LOG_BOUND = 26 * math.log(2)
+
+
+def _exact_ranks(mats):
+    return [mc.exact_rank(m) for m in mats]
+
+
+def _float_ranks_checked(mats):
+    """Float Bareiss ranks, checking that every entry left in the stack is
+    still a minor of the input: an integer no larger than the Hadamard bound."""
+    a = mats.transpose(2, 1, 0).astype(np.float64, order="C")
+    ranks = mc._eliminate(a, None).tolist()
+    h = math.exp(mc._hadamard_log_bound(float(np.abs(mats).max()), min(mats.shape[1:])))
+    assert np.array_equal(a, np.round(a))
+    assert np.abs(a).max() <= h * (1 + 1e-9)
+    return ranks
+
+
+def _top_entry(side, log_bound):
+    """Largest entry bound whose Hadamard bound at this side stays below log_bound."""
+    top = int(math.exp(log_bound / side) / math.sqrt(side)) + 1
+    while mc._hadamard_log_bound(top, side) >= log_bound:
+        top -= 1
+    return top
+
+
+@st.composite
+def planted_stacks(draw, log_bound):
+    """Stacks of 1..6 x 1..6 matrices whose Hadamard bound stays below
+    log_bound, with planted row dependencies, zero columns and zero matrices."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    top = _top_entry(min(rows, cols), log_bound)
+    bound = draw(st.sampled_from([1, top]) | st.integers(1, top))
+    nmat = draw(st.integers(1, 6))
+    flat = draw(st.lists(st.integers(-bound, bound), min_size=nmat * rows * cols,
+                         max_size=nmat * rows * cols))
+    mats = np.array(flat, dtype=np.int64).reshape(nmat, rows, cols)
+    plants = st.lists(st.sampled_from(["copy", "negate", "sum", "col_sum", "zero_col", "zero"]),
+                      max_size=3)
+    for m in mats:
+        for plant in draw(plants):
+            i, j, k = (draw(st.integers(0, rows - 1)) for _ in range(3))
+            c1, c2, c3 = (draw(st.integers(0, cols - 1)) for _ in range(3))
+            if plant == "copy":
+                m[i] = m[j]
+            elif plant == "negate":
+                m[i] = -m[j]
+            elif plant == "sum":  # halve the summands so the bound still holds
+                m[i] = _halved(m[j]) + _halved(m[k])
+            elif plant == "col_sum":
+                m[:, c1] = _halved(m[:, c2]) - _halved(m[:, c3])
+            elif plant == "zero_col":
+                m[:, c1] = 0
+            else:
+                m[:] = 0
+    return mats
+
+
+def _halved(v):
+    return np.sign(v) * (np.abs(v) // 2)
+
+
+@given(planted_stacks(FLOAT_LOG_BOUND))
+@settings(max_examples=150, deadline=None)
+def test_both_kernel_arithmetics_match_exact_rank(mats):
+    want = _exact_ranks(mats)
+    assert _float_ranks_checked(mats) == want
+    assert mc._batch_rank_mod(mats, P31).tolist() == want
+
+
+@given(planted_stacks(math.log(P31)))
+@settings(max_examples=100, deadline=None)
+def test_modular_kernel_matches_exact_rank_below_prime(mats):
+    assert mc._batch_rank_mod(mats, P31).tolist() == _exact_ranks(mats)
+
+
+@given(st.integers(7, 13), st.integers(7, 13), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_kernels_exact_on_larger_sign_stacks(rows, cols, seed):
+    # {-1, 0, 1} entries keep log H below 26 ln 2 up to side 13, where
+    # elimination without Bareiss's division would leave the mantissa.
+    # Planted sums split one row's support over two others, so the entries
+    # stay in range and the dependency needs exact cancellation to show.
+    rng = np.random.default_rng(seed)
+    mats = rng.integers(-1, 2, size=(40, rows, cols))
+    for m in mats[::2]:
+        i, j, k = rng.choice(rows, size=3, replace=False)
+        mask = rng.integers(0, 2, size=cols)
+        m[j], m[k] = m[i] * mask, m[i] * (1 - mask)
+    for m in mats[::3]:  # a column without a pivot must leave rows unscaled
+        m[:, rng.integers(1, cols)] = 0
+    assert mc._hadamard_log_bound(1, min(rows, cols)) < FLOAT_LOG_BOUND
+    want = _exact_ranks(mats)
+    assert _float_ranks_checked(mats) == want
+    assert mc._batch_rank_mod(mats, P31).tolist() == want
+
+
+def _signed_hadamard4(draw):
+    h2 = np.array([[1, 1], [1, -1]], dtype=np.int64)
+    h = np.kron(h2, h2)
+    rs = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=4, max_size=4)))
+    cs = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=4, max_size=4)))
+    return rs[:, None] * h * cs[None, :]
+
+
+@st.composite
+def threshold_stacks(draw, top):
+    """4 x 4 stacks with max |entry| exactly top: scaled Hadamard matrices,
+    whose determinant attains the Hadamard bound, or random entries, with
+    planted row copies."""
+    mats = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            m = top * _signed_hadamard4(draw)
+        else:
+            flat = draw(st.lists(st.integers(-top, top), min_size=16, max_size=16))
+            m = np.array(flat, dtype=np.int64).reshape(4, 4)
+            m[0, 0] = top
+        if draw(st.booleans()):
+            m[draw(st.integers(1, 3))] = m[0]
+        mats.append(m)
+    return np.stack(mats)
+
+
+def test_threshold_entries_straddle_float_bound():
+    assert mc._hadamard_log_bound(45, 4) < FLOAT_LOG_BOUND < mc._hadamard_log_bound(46, 4)
+
+
+@given(st.sampled_from([45, 46]).flatmap(threshold_stacks))
+@settings(max_examples=80, deadline=None)
+def test_float_path_taken_exactly_below_bound(mats):
+    top = int(np.abs(mats).max())
+    want = _exact_ranks(mats)
+    p1 = mc.random_prime(mc.RngStream(8, 1), 31)
+    p2 = mc.random_prime(mc.RngStream(8, 2), 31)
+    counters: dict = {}
+    assert mc.batch_exact_ranks(mats, (p1, p2), counters).tolist() == want
+    assert counters.get("float_bareiss", 0) == (len(mats) if top == 45 else 0)
+    assert mc._batch_rank_mod(mats, P31).tolist() == want
+    if top == 45:
+        assert mc._batch_rank_float(mats).tolist() == want
+
+
 # --- norms -----------------------------------------------------------------
 
 
