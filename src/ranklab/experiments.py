@@ -252,9 +252,11 @@ def exhaustive_deficiency(dist: DistributionSpec, n: int) -> ExactDeficiency:
 
     Atom probabilities enter as exact binary rationals, so the output
     fractions are the true law of the (float-valued) spec. Ranks come from
-    batch_exact_ranks, whose primes are drawn from a fixed stream: small
-    atoms take its certified paths, and large ones are settled by the second
-    prime and the exact fallback.
+    batch_exact_ranks with primes drawn from a fixed stream. Its ranks are
+    exact for any primes: small atoms take its certified paths, and large
+    ones are settled by the second prime when the two primes' product
+    exceeds the Hadamard bound and by the exact fallback otherwise, so atoms
+    chosen against the fixed pair cost time, never correctness.
     """
     if not (1 <= n <= 4):
         raise ValueError("exhaustive enumeration capped at n = 4")

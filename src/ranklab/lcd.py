@@ -41,6 +41,8 @@ __all__ = [
 
 _REFINE_TOL = 1e-10
 _MATRIX_DIM_CAP = 8
+_SCAN_BLOCK_FLOATS = 2**15  # entries of one screened block of ray ticks
+_SCREEN_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -162,9 +164,20 @@ def _refine_crossing(u, lo, hi, params, u_norm):
 def _scan_ray(u: np.ndarray, params: LCDParams, search_bound: float, grid_step: float):
     """Grid scan for the smallest witness scale along one direction.
 
-    u is the image of the unit direction. Returns (lo, hi, last_clean), the
-    refined crossing bracket plus the largest grid point verified clean
-    before the hit, or None when the whole grid is clean.
+    u is the image of the unit direction. The grid is the ticks
+    t_i = min(start + i * grid_step, search_bound), i >= 1, after the cutoff
+    start = L / (alpha * ||u||). Returns (lo, hi, last_clean), the refined
+    crossing bracket of the first tick where the condition holds plus the
+    tick before it (start for the first), or None when the whole grid is
+    clean.
+
+    Ticks are screened a block at a time in numpy: a tick is a candidate
+    when its squared lattice distance is below L^2 log+(alpha t ||u|| / L)
+    with a relative slack of _SCREEN_SLACK. The block's row sums and the
+    scalar test's norm may differ in the last bits, and the slack keeps the
+    screen from dropping a tick the scalar test would accept. Candidates are
+    then confirmed in order by _ray_condition, which alone decides the hit,
+    so the result is the one a tick-by-tick scalar loop returns.
     """
     u_norm = float(np.linalg.norm(u))
     if u_norm == 0.0:
@@ -173,13 +186,20 @@ def _scan_ray(u: np.ndarray, params: LCDParams, search_bound: float, grid_step: 
     if start >= search_bound:
         return None
     ticks = int(math.ceil((search_bound - start) / grid_step))
-    prev = start
-    for i in range(1, ticks + 1):
-        t = min(start + i * grid_step, search_bound)
-        if _ray_condition(u, t, params, u_norm):
-            lo, hi = _refine_crossing(u, prev, t, params, u_norm)
-            return lo, hi, prev
-        prev = t
+    block = max(1, _SCAN_BLOCK_FLOATS // u.size)
+    for first in range(1, ticks + 1, block):
+        # row 0 is tick first - 1, the clean tick before the block (start when first == 1)
+        i = np.arange(first - 1, min(first + block, ticks + 1))
+        t = np.minimum(start + i * grid_step, search_bound)
+        y = t[1:, None] * u
+        y -= np.rint(y)
+        d2 = np.einsum("ij,ij->i", y, y)
+        rhs2 = params.L**2 * np.log(np.maximum(params.alpha * t[1:] * u_norm / params.L, 1.0))
+        for j in np.flatnonzero(d2 < rhs2 * (1.0 + _SCREEN_SLACK)):
+            prev, hit = float(t[j]), float(t[j + 1])
+            if _ray_condition(u, hit, params, u_norm):
+                lo, hi = _refine_crossing(u, prev, hit, params, u_norm)
+                return lo, hi, prev
     return None
 
 

@@ -541,20 +541,24 @@ def batch_exact_ranks(
        divisible by the prime, so the ranks are exact.
     3. Otherwise: ranks mod primes[0]. Full rank is certified (modular rank
        never exceeds the exact one); deficient-looking matrices are ranked
-       again mod primes[1], and any disagreement falls back to exact_rank.
+       again mod primes[1]. Agreement is certified when H < primes[0] *
+       primes[1]: a rank too low mod both primes means both divide a nonzero
+       minor, which is then at least their product. Disagreement, and
+       agreement when H >= primes[0] * primes[1], fall back to exact_rank.
 
-    Callers must pass independently drawn random primes (31-bit, below the
-    batched kernel's limit). A wrong answer on path 3 then requires both
-    primes to divide the same nonzero minor, probability on the order of
-    (log(minor)/2^25)^2 per matrix, which is negligible; fixed small primes
-    void the guarantee. `counters`, if given, adds the matrices ranked on
-    path 1 under "float_bareiss", those re-ranked mod primes[1] under
-    "second_prime" and those sent to exact_rank under "exact_fallback".
+    Every returned rank is therefore exact, whatever the primes (distinct
+    31-bit primes, below the batched kernel's limit). Random primes keep the
+    fallback rare; a fixed pair only makes inputs built against it slow.
+    `counters`, if given, adds the matrices ranked on path 1 under
+    "float_bareiss", those re-ranked mod primes[1] under "second_prime" and
+    those sent to exact_rank under "exact_fallback".
     """
     mats = np.asarray(mats, dtype=np.int64)
     nmat, nrow, ncol = mats.shape
     full = min(nrow, ncol)
     p1, p2 = primes
+    if p1 == p2:
+        raise ValueError("need two distinct primes")
     max_abs = float(np.abs(mats).max(initial=0))
     log_h = _hadamard_log_bound(max_abs, full)
     if log_h < math.log(p1) and log_h < _FLOAT_EXACT_LOG_BOUND:
@@ -571,7 +575,7 @@ def batch_exact_ranks(
         counters["second_prime"] = counters.get("second_prime", 0) + int(suspect.size)
     r2 = _batch_rank_mod(mats[suspect], p2)
     out = r1.copy()
-    agree = r2 == r1[suspect]
+    agree = (r2 == r1[suspect]) & (log_h < math.log(p1) + math.log(p2))
     out[suspect[agree]] = r2[agree]
     for i in suspect[~agree]:
         if counters is not None:
@@ -593,40 +597,14 @@ def hs_norm(a) -> float:
     return float(np.sqrt(np.sum(arr * arr)))
 
 
-def op_norm(a, tol: float = 1e-9, max_iter: int = 10000) -> float:
-    """Largest singular value by power iteration on the Gram matrix.
-
-    The start vector is deterministic (slowly varying ramp) so repeated
-    calls agree bit-for-bit. Iteration stops when successive estimates move
-    by less than tol relative, or at the iteration cap.
-    """
+def op_norm(a) -> float:
+    """Largest singular value, from LAPACK's SVD."""
     arr = a.to_numpy() if isinstance(a, IntMatrix) else np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     if not np.all(np.isfinite(arr)):
         raise ValueError("entries must be finite")
-    scale = np.abs(arr).max()
-    if scale == 0:
-        return 0.0
-    n = arr.shape[1]
-    x = 1.0 + np.arange(n) / (n + 1.0)
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    for _ in range(max_iter):
-        y = arr @ x
-        z = arr.T @ y
-        nz = np.linalg.norm(z)
-        if nz == 0:
-            # start vector sits in the kernel; nudge deterministically
-            x = np.roll(x, 1)
-            continue
-        new_sigma = float(np.linalg.norm(y))
-        x = z / nz
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            sigma = new_sigma
-            break
-        sigma = new_sigma
-    return sigma
+    return float(np.linalg.norm(arr, 2))
 
 
 def singular_values(a) -> np.ndarray:

@@ -117,6 +117,20 @@ def test_exhaustive_atoms_chosen_against_fixed_primes():
     assert exhaustive_deficiency(dist, 2).prob_at_least(1) == want
 
 
+def test_exhaustive_atoms_chosen_against_drawn_primes():
+    # the atoms are (p1 + p2)/2 and (p1 - p2)/2 for the pair exhaustive
+    # enumeration draws, (1687314397, 1114966231), so [[a, b], [b, a]] has
+    # det p1*p2 and both modular ranks agree on 1
+    values = (1401140314, 286174083)
+    dist = parse_distribution("atoms:1401140314:0.5,286174083:0.5")
+    want = Fraction(
+        sum(exact_rank(np.reshape(m, (2, 2))) < 2 for m in itertools.product(values, repeat=4)),
+        16,
+    )
+    assert want == Fraction(3, 8)
+    assert exhaustive_deficiency(dist, 2).prob_at_least(1) == want
+
+
 # --- monte carlo estimator -------------------------------------------------------
 
 

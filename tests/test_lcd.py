@@ -118,6 +118,111 @@ def test_lcd_vector_validation():
         lcd.lcd_vector(ones_unit(10), P, 20.0, grid_step=-1.0)
 
 
+def scan_ray_per_tick(u, params, search_bound, grid_step):
+    """Reference for lcd._scan_ray: the condition tested one grid tick at a time."""
+    u_norm = float(np.linalg.norm(u))
+    if u_norm == 0.0:
+        return None
+    start = params.L / (params.alpha * u_norm)
+    if start >= search_bound:
+        return None
+    ticks = int(math.ceil((search_bound - start) / grid_step))
+    prev = start
+    for i in range(1, ticks + 1):
+        t = min(start + i * grid_step, search_bound)
+        if lcd._ray_condition(u, t, params, u_norm):
+            lo, hi = lcd._refine_crossing(u, prev, t, params, u_norm)
+            return lo, hi, prev
+        prev = t
+    return None
+
+
+def test_scan_ray_hit_on_first_tick():
+    # a basis vector meets the condition right past the cutoff 8
+    got = lcd._scan_ray(basis_vec(50, 3), P, 20.0, 0.01)
+    assert got == scan_ray_per_tick(basis_vec(50, 3), P, 20.0, 0.01)
+    assert got[2] == 8.0
+
+
+def test_scan_ray_hit_in_later_block():
+    # the all-ones crossing near 9.24 lies some 12,400 ticks past the cutoff
+    u, step = ones_unit(100), 1e-4
+    got = lcd._scan_ray(u, P, 20.0, step)
+    assert got == scan_ray_per_tick(u, P, 20.0, step)
+    assert (got[2] - 8.0) / step > 10 * (lcd._SCAN_BLOCK_FLOATS // u.size)
+
+
+def test_scan_ray_hit_at_block_edges():
+    # steps placing the first hit on the last tick of a block, on the first
+    # tick of the next, and next to them
+    u = ones_unit(100)
+    block = lcd._SCAN_BLOCK_FLOATS // u.size
+    crossing = 9.2406139637
+    for i in (block - 1, block, block + 1, 2 * block, 2 * block + 1):
+        step = (crossing - 8.0) / (i - 0.5)
+        got = lcd._scan_ray(u, P, 20.0, step)
+        assert got == scan_ray_per_tick(u, P, 20.0, step)
+        assert got[2] == 8.0 + (i - 1) * step
+
+
+def test_scan_ray_hit_on_clipped_last_tick():
+    # ticks 8.3, 8.6, 8.9, 9.2 are clean; the last one is clipped to 9.3
+    got = lcd._scan_ray(ones_unit(100), P, 9.3, 0.3)
+    assert got == scan_ray_per_tick(ones_unit(100), P, 9.3, 0.3)
+    assert got[2] == 8.0 + 4 * 0.3
+    assert got[1] <= 9.3
+
+
+def test_scan_ray_no_hit():
+    assert lcd._scan_ray(ones_unit(100), P, 9.0, 1e-4) is None
+    assert scan_ray_per_tick(ones_unit(100), P, 9.0, 1e-4) is None
+
+
+def test_scan_ray_single_coordinate_and_zero_vector():
+    for c in (0.37, 0.1, 1.3):
+        u = np.array([c])
+        assert lcd._scan_ray(u, P, 200.0, 0.003) == scan_ray_per_tick(u, P, 200.0, 0.003)
+    assert lcd._scan_ray(np.zeros(5), P, 20.0, 0.01) is None
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 100, 333])
+@pytest.mark.parametrize("step", [0.5, 0.01, 7e-4])
+def test_scan_ray_matches_per_tick_over_blocks(n, step):
+    # off-lattice directions scanned over several blocks of ticks
+    u = np.random.default_rng(n).normal(size=n)
+    u *= 1.5 / np.linalg.norm(u)
+    assert lcd._scan_ray(u, P, 12.0, step) == scan_ray_per_tick(u, P, 12.0, step)
+
+
+@given(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 0.05),
+    st.floats(0.2, 3.0),
+    st.floats(0.5, 4.0),
+    st.floats(0.05, 1.0),
+    st.floats(1.01, 6.0),
+    st.integers(1, 3000),
+    st.floats(0.0, 0.99),
+)
+@settings(max_examples=150, deadline=None)
+def test_scan_ray_matches_per_tick_reference(
+    entries, seed, jitter, scale, L, alpha, bound_factor, ticks, clip
+):
+    # near-lattice directions hit at assorted ticks, exactly at the cutoff,
+    # or never; clip < 1 leaves the last tick short of the bound
+    u = np.array(entries, dtype=np.float64)
+    u += jitter * np.random.default_rng(seed).normal(size=u.size)
+    norm = float(np.linalg.norm(u))
+    if norm > 0:
+        u *= scale / norm
+    params = lcd.LCDParams(L, alpha)
+    start = L / (alpha * scale)
+    bound = start * bound_factor
+    step = (bound - start) / (ticks - clip)
+    assert lcd._scan_ray(u, params, bound, step) == scan_ray_per_tick(u, params, bound, step)
+
+
 def test_lcd_params_validation():
     with pytest.raises(ValueError):
         lcd.LCDParams(0.0, 0.5)

@@ -264,6 +264,21 @@ def test_batch_exact_ranks_disagreement_falls_back():
     assert counters.get("exact_fallback", 0) == 1
 
 
+def test_batch_exact_ranks_agreement_beyond_prime_product_falls_back():
+    # det 6^2 - 1 = 5 * 7: ranks mod 5 and mod 7 agree on 1, but the
+    # Hadamard bound 72 exceeds 35, so agreement certifies nothing
+    mats = np.array([[[6, 1], [1, 6]], [[6, 2], [3, 1]]], dtype=np.int64)
+    counters: dict = {}
+    got = mc.batch_exact_ranks(mats, (5, 7), counters)
+    assert got.tolist() == [2, 1]
+    assert counters == {"second_prime": 2, "exact_fallback": 2}
+
+
+def test_batch_exact_ranks_rejects_equal_primes():
+    with pytest.raises(ValueError, match="distinct"):
+        mc.batch_exact_ranks(np.ones((1, 2, 2), dtype=np.int64), (7, 7))
+
+
 def test_batch_kernel_rejects_wide_prime():
     with pytest.raises(ValueError):
         mc._batch_rank_mod(np.zeros((1, 2, 2), dtype=np.int64), 2**31 + 11)
@@ -452,6 +467,15 @@ def test_op_norm_matches_svd(m):
     arr = np.array(m, dtype=np.float64)
     want = float(np.linalg.svd(arr, compute_uv=False)[0])
     assert mc.op_norm(arr) == pytest.approx(want, abs=1e-7)
+
+
+def test_op_norm_close_top_singular_values():
+    # power iteration stopped early here (7.43551129): the top two singular
+    # values are close, so successive estimates crept up by under 1e-9
+    m = [[-4, -3, 2, 0, -4], [-2, 5, -4, 0, -3], [0, -3, -3, 0, -3]]
+    want = float(np.linalg.svd(np.array(m, dtype=np.float64), compute_uv=False)[0])
+    assert mc.op_norm(np.array(m)) == pytest.approx(want, abs=1e-12)
+    assert mc.op_norm(mc.IntMatrix.from_rows(m)) == pytest.approx(7.43551139, abs=1e-8)
 
 
 def test_op_norm_deterministic():
