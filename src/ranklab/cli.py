@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -42,6 +43,7 @@ from .experiments import (
     QGTConfig,
     RankTrialConfig,
     decay_shape_fit,
+    enumeration_states,
     estimate_deficiency,
     exhaustive_deficiency,
     kernel_structure_probe,
@@ -111,7 +113,6 @@ _COMMON = [
     Param("out", "str", "ranklab_run", "output path prefix for .csv/.json"),
     Param("config", "str", None, "flat key=value config file (flags override it)"),
     Param("seed", "int", DEFAULT_SEED, "master seed; fixed default for reproducibility"),
-    Param("threads", "int", 0, "worker cap, 0 = machine parallelism (trials are order-independent)"),
 ]
 
 
@@ -137,7 +138,7 @@ def _rank_config(res) -> RankTrialConfig:
     dist = parse_distribution(res["dist"])
     n = res["n"]
     if res["exhaustive"]:
-        trials = len(dist.merged_atoms()) ** (n * n)
+        trials = enumeration_states(len(dist.merged_atoms()), n)
         res["trials"] = trials  # echo the effective count, not the unused default
     else:
         trials = res["trials"]
@@ -531,6 +532,7 @@ SUBCOMMANDS: dict[str, tuple[str, list[Param], object]] = {
 _FORMULA_OPTIONAL = {"m", "L", "alpha", "det-sqrt", "D", "t", "M", "n", "l", "R", "rho", "r", "delta", "d", "C"}
 
 
+@functools.cache  # the tree never changes, so build it once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ranklab", description=__doc__)
     subs = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")

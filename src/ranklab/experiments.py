@@ -11,9 +11,9 @@ fallback; nothing here trusts floating point for a rank.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,6 +38,7 @@ __all__ = [
     "wilson_interval",
     "estimate_deficiency",
     "exhaustive_deficiency",
+    "enumeration_states",
     "ExactDeficiency",
     "centered_integer_dist",
     "decay_shape_fit",
@@ -51,7 +52,6 @@ __all__ = [
     "kernel_structure_probe",
     "probe_kernel_of",
     "KernelProbeReport",
-    "write_histogram_csv",
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -84,8 +84,9 @@ class RankTrialConfig:
     center_entries subtracts the exact mean (after integer rescaling, so
     ranks stay exact). enumerate_all replaces sampling with lexicographic
     enumeration of every matrix over the support; it requires uniform atom
-    probabilities and trials equal to the enumeration count, and exists so
-    the estimator can be checked against the exhaustive oracle bit for bit.
+    probabilities, trials equal to the enumeration count and the budget of
+    enumeration_states, and exists so the estimator can be checked against
+    the exhaustive oracle bit for bit.
     """
 
     dist: DistributionSpec
@@ -104,7 +105,7 @@ class RankTrialConfig:
         if not self.dist.is_integral:
             raise ValueError("integrality: rank trials need integer atoms")
         if self.enumerate_all:
-            states = len(self.dist.merged_atoms()) ** (self.n * self.n)
+            states = enumeration_states(len(self.dist.merged_atoms()), self.n)
             if self.trials != states:
                 raise ValueError(f"enumerate_all needs trials == {states}")
             if not self.dist.is_uniform:
@@ -183,18 +184,26 @@ def _draw_primes(rng: RngStream) -> tuple[int, int]:
         rng = rng.derive(3)
 
 
-def _enumerated_stack(values: tuple[int, ...], n: int, start: int, stop: int) -> np.ndarray:
-    """Matrices number start..stop-1 in lexicographic entry order, decoded
-    from mixed-radix digits of the matrix index."""
-    base = len(values)
-    ids = np.arange(start, stop, dtype=np.int64)
-    digits = np.empty((len(ids), n * n), dtype=np.int64)
-    rem = ids.copy()
+def enumeration_states(base: int, n: int) -> int:
+    """Count of n x n matrices over `base` atoms, after the enumeration
+    budget that every exhaustive run shares: n <= 4 and at most 2^32 states."""
+    if not (1 <= n <= 4):
+        raise ValueError("exhaustive enumeration capped at n = 4")
+    states = base ** (n * n)
+    if states > 2**32:
+        raise ValueError("enumeration budget exceeded")
+    return states
+
+
+def _enumerated_digits(base: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Atom indices of matrices number start..stop-1 in lexicographic entry
+    order: row i holds the n*n mixed-radix digits of matrix index start + i."""
+    rem = np.arange(start, stop, dtype=np.int64)
+    digits = np.empty((len(rem), n * n), dtype=np.int64)
     for pos in range(n * n - 1, -1, -1):
         digits[:, pos] = rem % base
         rem //= base
-    lut = np.asarray(values, dtype=np.int64)
-    return lut[digits].reshape(len(ids), n, n)
+    return digits
 
 
 def estimate_deficiency(config: RankTrialConfig, counters: dict | None = None) -> DeficiencyHistogram:
@@ -209,14 +218,15 @@ def estimate_deficiency(config: RankTrialConfig, counters: dict | None = None) -
     root = RngStream(config.master_seed, 0)
     primes = _draw_primes(root.derive(999_983))
     n = config.n
-    values = tuple(int(v) for v, _ in dist.merged_atoms())
+    values = [int(v) for v, _ in dist.merged_atoms()]
     tallies = np.zeros(n + 1, dtype=np.int64)
     done = 0
     batch_index = 0
     while done < config.trials:
         take = min(_BATCH, config.trials - done)
         if config.enumerate_all:
-            mats = _enumerated_stack(values, n, done, done + take)
+            digits = _enumerated_digits(len(values), n, done, done + take)
+            mats = np.asarray(values, dtype=np.int64)[digits].reshape(take, n, n)
         else:
             gen = root.derive(1, batch_index).generator()
             mats = sample_array(dist, (take, n, n), gen)
@@ -251,53 +261,37 @@ def exhaustive_deficiency(dist: DistributionSpec, n: int) -> ExactDeficiency:
     """Exact deficiency probabilities by enumerating every matrix, n <= 4.
 
     Atom probabilities enter as exact binary rationals, so the output
-    fractions are the true law of the (float-valued) spec. Ranks come from
-    batch_exact_ranks with primes drawn from a fixed stream. Its ranks are
-    exact for any primes: small atoms take its certified paths, and large
-    ones are settled by the second prime when the two primes' product
-    exceeds the Hadamard bound and by the exact fallback otherwise, so atoms
-    chosen against the fixed pair cost time, never correctness.
+    fractions are the true law of the (float-valued) spec. A matrix's
+    weight depends only on how many entries take each atom, so states are
+    tallied per (deficiency, atom-count class) and each class is weighted
+    once. Ranks come from batch_exact_ranks with primes drawn from a fixed
+    stream. Its ranks are exact for any primes: small atoms take its
+    certified paths, and large ones are settled by the second prime when
+    the two primes' product exceeds the Hadamard bound and by the exact
+    fallback otherwise, so atoms chosen against the fixed pair cost time,
+    never correctness.
     """
-    if not (1 <= n <= 4):
-        raise ValueError("exhaustive enumeration capped at n = 4")
+    atoms = dist.merged_atoms()
+    states = enumeration_states(len(atoms), n)
     if not dist.is_integral:
         raise ValueError("integrality: enumeration needs integer atoms")
-    atoms = dist.merged_atoms()
-    states = len(atoms) ** (n * n)
-    if states > 2**32:
-        raise ValueError("enumeration budget exceeded")
-    values = tuple(int(v) for v, _ in atoms)
+    lut = np.asarray([int(v) for v, _ in atoms], dtype=np.int64)
     weights = [Fraction(p) for _, p in atoms]
-    base = len(atoms)
     primes = _draw_primes(RngStream(0))
 
-    per_def: dict[int, Fraction] = {}
-    total = Fraction(0)
+    # (deficiency, sorted digit row) -> number of states; the sorted row is
+    # the state's atom-count class
+    tally: Counter = Counter()
     for start in range(0, states, _BATCH):
-        stop = min(start + _BATCH, states)
-        mats = _enumerated_stack(values, n, start, stop)
-        ranks = batch_exact_ranks(mats, primes)
-        if dist.is_uniform:
-            w = [weights[0] ** (n * n)] * (stop - start)
-        else:
-            ids = np.arange(start, stop, dtype=np.int64)
-            digits = np.empty((stop - start, n * n), dtype=np.int64)
-            rem = ids.copy()
-            for pos in range(n * n - 1, -1, -1):
-                digits[:, pos] = rem % base
-                rem //= base
-            w = []
-            for row in digits:
-                wt = Fraction(1)
-                for a_idx in range(base):
-                    c = int(np.count_nonzero(row == a_idx))
-                    if c:
-                        wt *= weights[a_idx] ** c
-                w.append(wt)
-        for r, wt in zip(ranks, w):
-            d = n - int(r)
-            per_def[d] = per_def.get(d, Fraction(0)) + wt
-            total += wt
+        digits = _enumerated_digits(lut.size, n, start, min(start + _BATCH, states))
+        ranks = batch_exact_ranks(lut[digits].reshape(-1, n, n), primes)
+        keys = np.column_stack([n - ranks, np.sort(digits, axis=1)])
+        rows, sizes = np.unique(keys, axis=0, return_counts=True)
+        tally.update(dict(zip(map(tuple, rows.tolist()), sizes.tolist())))
+    per_def: dict[int, Fraction] = {}
+    for (d, *cls), size in tally.items():
+        per_def[d] = per_def.get(d, Fraction(0)) + size * math.prod(weights[i] for i in cls)
+    total = sum(per_def.values())
     probs = {d: p / total for d, p in sorted(per_def.items())}
     return ExactDeficiency(n=n, states=states, probs=probs)
 
@@ -814,25 +808,3 @@ def kernel_structure_probe(
         threshold_log=C_thresh * n / k,
         note="violating directions are expected exponentially rarely in n",
     )
-
-
-# --- artifact output ---------------------------------------------------------------
-
-
-def write_histogram_csv(hist: DeficiencyHistogram, k_max: int, path) -> None:
-    """One row per (n, k); fixed float formatting keeps reruns byte-identical."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "k", "trials", "successes", "p_hat", "wilson_lo", "wilson_hi"])
-        for row in hist.rows(k_max):
-            w.writerow(
-                [
-                    row["n"],
-                    row["k"],
-                    row["trials"],
-                    row["successes"],
-                    f"{row['p_hat']:.12g}",
-                    f"{row['wilson_lo']:.12g}",
-                    f"{row['wilson_hi']:.12g}",
-                ]
-            )

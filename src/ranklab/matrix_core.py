@@ -4,8 +4,7 @@ This module owns the plumbing everything else builds on: finite entry
 distributions, deterministic counter-based RNG streams, an arbitrary
 precision integer matrix container, fraction-free exact rank, rank over
 GF(p), and the dense-matrix norms. The exact rank path never touches
-floating point; the float paths (SVD, operator norm) are capped at sizes
-where dense routines are unconditionally safe.
+floating point.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "modular_rank",
     "hs_norm",
     "op_norm",
-    "singular_values",
     "is_prime",
     "random_prime",
     "load_int_matrix",
@@ -44,7 +42,6 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 _PROB_TOL = 1e-12
-_SVD_MAX_SIDE = 64
 
 
 def _splitmix64(x: int) -> int:
@@ -605,18 +602,6 @@ def op_norm(a) -> float:
     if not np.all(np.isfinite(arr)):
         raise ValueError("entries must be finite")
     return float(np.linalg.norm(arr, 2))
-
-
-def singular_values(a) -> np.ndarray:
-    """All singular values, nonincreasing; small dense matrices only."""
-    arr = a.to_numpy() if isinstance(a, IntMatrix) else np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    if min(arr.shape) > _SVD_MAX_SIDE:
-        raise ValueError("too large for dense SVD")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("entries must be finite")
-    return np.linalg.svd(arr, compute_uv=False)
 
 
 # ---------------------------------------------------------------------------

@@ -20,38 +20,11 @@ from .geometry import ao_check
 from .matrix_core import IntMatrix, RngStream
 
 __all__ = [
-    "RoundingSpec",
     "ApproxTupleResult",
     "random_round",
     "sparse_round",
     "approx_tuple",
 ]
-
-
-@dataclass(frozen=True)
-class RoundingSpec:
-    """Lattice pitch configuration: plain delta-grid or sparse tau-mode."""
-
-    delta: float
-    mode: str = "plain"
-    tau: float | None = None
-
-    def __post_init__(self) -> None:
-        if not (self.delta > 0):
-            raise ValueError("need delta > 0")
-        if self.mode not in ("plain", "sparse"):
-            raise ValueError("mode must be 'plain' or 'sparse'")
-        if self.mode == "sparse":
-            if self.tau is None or not (0.0 < self.tau < 1.0):
-                raise ValueError("sparse mode needs 0 < tau < 1")
-        elif self.tau is not None:
-            raise ValueError("plain mode takes no tau")
-
-    def pitch(self, n: int) -> float:
-        """Grid pitch for an n-dimensional vector."""
-        if self.mode == "plain":
-            return self.delta
-        return self.tau / math.sqrt(n)
 
 
 def random_round(x, delta: float, rng: RngStream | np.random.Generator) -> np.ndarray:

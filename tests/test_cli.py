@@ -118,17 +118,48 @@ def test_runtime_error_exits_1_with_no_partial_files(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # neither outputs nor temp files
 
 
+@pytest.mark.parametrize("subcommand", ["rank-prob", "decay-fit"])
+def test_exhaustive_rank_runs_share_the_enumeration_cap(tmp_path, capsys, subcommand):
+    # the same refusal as `exhaustive --n 5`, before any matrix is enumerated
+    out = tmp_path / "e"
+    assert run([subcommand, "--dist", "rademacher", "--n", "5", "--exhaustive",
+                "--out", str(out)]) == 1
+    assert "capped" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_threads_flag_is_gone(tmp_path):
+    out = tmp_path / "t"
+    assert run(["rank-prob", "--n", "2", "--trials", "10", "--threads", "2", "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rank_prob_exhaustive_histogram_csv(tmp_path):
+    paths = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        assert run(["rank-prob", "--n", "3", "--k-max", "3", "--exhaustive", "--out", str(out)]) == 0
+        paths.append(tmp_path / f"{tag}.csv")
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    lines = paths[0].read_text().strip().splitlines()
+    assert lines[0] == "n,k,trials,successes,p_hat,wilson_lo,wilson_hi"
+    assert len(lines) == 4
+    first = lines[1].split(",")
+    assert first[:4] == ["3", "1", "512", "320"]
+    assert float(first[4]) == 0.625
+
+
 def test_help_lists_every_parameter_with_defaults(capsys):
     assert sorted(SUBCOMMANDS) == sorted(ALL_SUBCOMMANDS)
     for name in ALL_SUBCOMMANDS:
         assert run([name, "--help"]) == 0
-        text = capsys.readouterr().out
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps long help lines
         _, params, _ = SUBCOMMANDS[name]
         for p in params:
             assert f"--{p.name}" in text
             if p.default is not None:
                 assert f"(default: {p.default})" in text
-        for common in ("--out", "--seed", "--config", "--threads"):
+        for common in ("--out", "--seed", "--config"):
             assert common in text
 
 

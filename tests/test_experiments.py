@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ranklab.bounds import RegimeParams
 from ranklab.experiments import (
@@ -22,9 +24,9 @@ from ranklab.experiments import (
     qgt_min_rank,
     kernel_structure_probe,
     wilson_interval,
-    write_histogram_csv,
 )
 from ranklab.matrix_core import (
+    DistributionSpec,
     IntMatrix,
     RngStream,
     bernoulli,
@@ -104,6 +106,46 @@ def test_exhaustive_rejects_out_of_scope():
         exhaustive_deficiency(centered_bernoulli(0.25), 2)
 
 
+def _brute_force_law(atoms, n):
+    """Deficiency law of n x n matrices with i.i.d. entries from (value,
+    Fraction probability) atoms, one state at a time."""
+    merged: dict[int, Fraction] = {}
+    for v, p in atoms:
+        merged[v] = merged.get(v, Fraction(0)) + p
+    law: dict[int, Fraction] = {}
+    for entries in itertools.product(sorted(merged), repeat=n * n):
+        d = n - exact_rank(np.reshape(entries, (n, n)))
+        law[d] = law.get(d, Fraction(0)) + math.prod(merged[v] for v in entries)
+    return law
+
+
+@st.composite
+def sixteenth_atoms(draw):
+    # 2-3 atoms, values may repeat, probabilities in sixteenths summing to 1
+    size = draw(st.integers(2, 3))
+    values = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    cuts = sorted(draw(st.lists(st.integers(0, 16), min_size=size - 1, max_size=size - 1)))
+    sixteenths = [b - a for a, b in zip([0] + cuts, cuts + [16])]
+    assume(len({v for v, s in zip(values, sixteenths) if s > 0}) >= 2)
+    return [(v, Fraction(s, 16)) for v, s in zip(values, sixteenths)]
+
+
+@given(sixteenth_atoms(), st.integers(1, 2))
+@settings(max_examples=80, deadline=None)
+def test_exhaustive_matches_brute_force(atoms, n):
+    dist = DistributionSpec([(float(v), float(p)) for v, p in atoms])
+    assert exhaustive_deficiency(dist, n).probs == _brute_force_law(atoms, n)
+
+
+def test_exhaustive_weighted_three_atoms_n3():
+    atoms = [(-1, Fraction(3, 16)), (0, Fraction(9, 16)), (2, Fraction(4, 16))]
+    dist = parse_distribution("atoms:-1:0.1875,0:0.5625,2:0.25")
+    ex = exhaustive_deficiency(dist, 3)
+    assert ex.states == 3**9
+    assert ex.probs == _brute_force_law(atoms, 3)
+    assert sum(ex.probs.values()) == 1
+
+
 def test_exhaustive_atoms_chosen_against_fixed_primes():
     # 2147483638^2 - 9^2 = (2^31 - 1)(2^31 - 19): ranks modulo exactly those
     # two primes agree that some nonsingular 2 x 2 matrices are singular
@@ -166,6 +208,17 @@ def test_enumerate_all_guards():
     with pytest.raises(ValueError, match="uniform"):
         RankTrialConfig(
             dist=bernoulli(0.25), n=2, k_max=1, trials=16, master_seed=0, enumerate_all=True
+        )
+
+
+def test_enumerate_all_shares_the_exhaustive_cap():
+    with pytest.raises(ValueError, match="capped"):
+        RankTrialConfig(
+            dist=rademacher(), n=5, k_max=1, trials=2**25, master_seed=0, enumerate_all=True
+        )
+    with pytest.raises(ValueError, match="budget"):
+        RankTrialConfig(
+            dist=uniform_int(2), n=4, k_max=1, trials=5**16, master_seed=0, enumerate_all=True
         )
 
 
@@ -437,21 +490,3 @@ def test_probe_reproducible():
     a = kernel_structure_probe(uniform_int(1), 20, 2, 6, regime, RngStream(2, 3))
     b = kernel_structure_probe(uniform_int(1), 20, 2, 6, regime, RngStream(2, 3))
     assert a.to_record() == b.to_record()
-
-
-# --- artifacts ------------------------------------------------------------------------
-
-
-def test_histogram_csv_bytes_stable(tmp_path):
-    cfg = RankTrialConfig(dist=rademacher(), n=3, k_max=3, trials=512, master_seed=0, enumerate_all=True)
-    hist = estimate_deficiency(cfg)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_histogram_csv(hist, 3, p1)
-    write_histogram_csv(hist, 3, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    lines = p1.read_text().strip().splitlines()
-    assert lines[0] == "n,k,trials,successes,p_hat,wilson_lo,wilson_hi"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert first[:4] == ["3", "1", "512", "320"]
-    assert float(first[4]) == 0.625

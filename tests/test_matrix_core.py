@@ -484,19 +484,6 @@ def test_op_norm_deterministic():
     assert mc.op_norm(a) == mc.op_norm(a.copy())
 
 
-def test_singular_values_example():
-    a = np.array([[1.0, 1 / math.sqrt(2)], [0.0, 1 / math.sqrt(2)]])
-    sv = mc.singular_values(a)
-    want = [math.sqrt(1 + 1 / math.sqrt(2)), math.sqrt(1 - 1 / math.sqrt(2))]
-    assert np.allclose(sv, want, atol=1e-12)
-
-
-def test_singular_values_size_cap():
-    mc.singular_values(np.ones((64, 3)))  # min side small: fine
-    with pytest.raises(ValueError, match="too large for dense SVD"):
-        mc.singular_values(np.ones((65, 65)))
-
-
 def test_norm_order():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(6, 6))

@@ -9,19 +9,6 @@ from ranklab import rounding as rnd
 from ranklab.matrix_core import RngStream, hs_norm
 
 
-def test_spec_validation():
-    rnd.RoundingSpec(0.1)
-    rnd.RoundingSpec(0.1, "sparse", 0.2)
-    with pytest.raises(ValueError):
-        rnd.RoundingSpec(0.0)
-    with pytest.raises(ValueError):
-        rnd.RoundingSpec(0.1, "sparse")
-    with pytest.raises(ValueError):
-        rnd.RoundingSpec(0.1, "plain", 0.2)
-    assert rnd.RoundingSpec(0.5).pitch(9) == 0.5
-    assert rnd.RoundingSpec(1.0, "sparse", 0.3).pitch(9) == pytest.approx(0.1)
-
-
 # --- random_round ------------------------------------------------------------
 
 
