@@ -153,9 +153,17 @@ def _rank_config(res) -> RankTrialConfig:
     )
 
 
+def _histogram(res):
+    """estimate_deficiency on the resolved config, with the count of
+    matrices that took each certification path (batch_exact_ranks)."""
+    counters = dict.fromkeys(("float_bareiss", "second_prime", "exact_fallback"), 0)
+    hist = estimate_deficiency(_rank_config(res), counters)
+    return hist, counters
+
+
 def _run_rank_prob(res):
-    hist = estimate_deficiency(_rank_config(res))
-    return _hist_rows(hist, res["k-max"]), {"histogram": hist.to_record()}
+    hist, counters = _histogram(res)
+    return _hist_rows(hist, res["k-max"]), {"histogram": hist.to_record(), "counters": counters}
 
 
 def _run_exhaustive(res):
@@ -168,9 +176,10 @@ def _run_exhaustive(res):
 
 
 def _run_decay_fit(res):
-    hist = estimate_deficiency(_rank_config(res))
+    hist, counters = _histogram(res)
     fit = decay_shape_fit(hist, res["k-max"])
-    return _hist_rows(hist, res["k-max"]), {"histogram": hist.to_record(), "fit": fit.to_record()}
+    payload = {"histogram": hist.to_record(), "fit": fit.to_record(), "counters": counters}
+    return _hist_rows(hist, res["k-max"]), payload
 
 
 def _named_vector(res) -> np.ndarray:

@@ -27,6 +27,7 @@ from .matrix_core import (
     RngStream,
     batch_exact_ranks,
     exact_rank,
+    int64_atoms,
     random_prime,
     sample_array,
 )
@@ -218,15 +219,15 @@ def estimate_deficiency(config: RankTrialConfig, counters: dict | None = None) -
     root = RngStream(config.master_seed, 0)
     primes = _draw_primes(root.derive(999_983))
     n = config.n
-    values = [int(v) for v, _ in dist.merged_atoms()]
+    lut = int64_atoms(v for v, _ in dist.merged_atoms())
     tallies = np.zeros(n + 1, dtype=np.int64)
     done = 0
     batch_index = 0
     while done < config.trials:
         take = min(_BATCH, config.trials - done)
         if config.enumerate_all:
-            digits = _enumerated_digits(len(values), n, done, done + take)
-            mats = np.asarray(values, dtype=np.int64)[digits].reshape(take, n, n)
+            digits = _enumerated_digits(lut.size, n, done, done + take)
+            mats = lut[digits].reshape(take, n, n)
         else:
             gen = root.derive(1, batch_index).generator()
             mats = sample_array(dist, (take, n, n), gen)
@@ -267,7 +268,7 @@ def exhaustive_deficiency(dist: DistributionSpec, n: int) -> ExactDeficiency:
     once. Ranks come from batch_exact_ranks with primes drawn from a fixed
     stream. Its ranks are exact for any primes: small atoms take its
     certified paths, and large ones are settled by the second prime when
-    the two primes' product exceeds the Hadamard bound and by the exact
+    the two primes' product exceeds the minor bound and by the exact
     fallback otherwise, so atoms chosen against the fixed pair cost time,
     never correctness.
     """
@@ -275,7 +276,7 @@ def exhaustive_deficiency(dist: DistributionSpec, n: int) -> ExactDeficiency:
     states = enumeration_states(len(atoms), n)
     if not dist.is_integral:
         raise ValueError("integrality: enumeration needs integer atoms")
-    lut = np.asarray([int(v) for v, _ in atoms], dtype=np.int64)
+    lut = int64_atoms(v for v, _ in atoms)
     weights = [Fraction(p) for _, p in atoms]
     primes = _draw_primes(RngStream(0))
 

@@ -28,6 +28,7 @@ __all__ = [
     "parse_distribution",
     "sample_matrix",
     "sample_array",
+    "int64_atoms",
     "exact_rank",
     "modular_rank",
     "hs_norm",
@@ -287,6 +288,23 @@ def _as_int_rows(a) -> list[list[int]]:
     return rows
 
 
+_INT64_MAX = (1 << 63) - 1
+
+
+def int64_atoms(values: Iterable[float]) -> np.ndarray:
+    """int64 lookup table of integral atom values, indexed by atom number.
+
+    Raises ValueError for a value outside +-(2^63 - 1): int64 cannot hold
+    it, and the symmetric range keeps |a| an int64 for every entry.
+    """
+    table = []
+    for v in values:
+        if abs(int(v)) > _INT64_MAX:
+            raise ValueError(f"atom {v:g} does not fit in int64")
+        table.append(int(v))
+    return np.array(table, dtype=np.int64)
+
+
 def sample_array(
     dist: DistributionSpec, shape: tuple[int, ...], rng: RngStream | np.random.Generator
 ) -> np.ndarray:
@@ -294,21 +312,19 @@ def sample_array(
 
     Uniform-probability supports use a single integers() call, which is the
     hot path; weighted supports go through inverse-CDF index sampling. Both
-    are deterministic functions of the stream.
+    are deterministic functions of the stream. The drawn atom indices pick
+    from an int64_atoms table for integral atoms, so an atom outside int64
+    raises ValueError.
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    values = np.array(dist.values)
-    k = len(values)
+    table = int64_atoms(dist.values) if dist.is_integral else np.array(dist.values)
     if dist.is_uniform:
-        idx = gen.integers(0, k, size=shape)
+        idx = gen.integers(0, table.size, size=shape)
     else:
         cdf = np.cumsum(dist.probs)
         cdf[-1] = 1.0  # guard the top edge against fsum drift
         idx = np.searchsorted(cdf, gen.random(shape), side="right")
-    out = values[idx]
-    if dist.is_integral:
-        return out.astype(np.int64)
-    return out
+    return table[idx]
 
 
 def sample_matrix(
@@ -513,7 +529,7 @@ def _batch_rank_mod(mats: np.ndarray, p: int) -> np.ndarray:
 
 def _batch_rank_float(mats: np.ndarray) -> np.ndarray:
     """Exact ranks of a (matrix, row, col) stack by float64 Bareiss; only
-    valid when the stack's Hadamard bound is below _FLOAT_EXACT_LOG_BOUND."""
+    valid when every minor's bound is below _FLOAT_EXACT_LOG_BOUND."""
     return _eliminate(np.asarray(mats).transpose(2, 1, 0).astype(np.float64, order="C"), None)
 
 
@@ -524,13 +540,75 @@ def _hadamard_log_bound(max_abs_entry: float, side: int) -> float:
     return side * (math.log(max_abs_entry) + 0.5 * math.log(side))
 
 
+def _shift_log_bound(lo: float, hi: float, side: int) -> float:
+    """log of a bound on every minor, of every size k <= side, of a matrix
+    with entries in [lo, hi] and min(rows, cols) = side.
+
+    With c = (lo + hi)/2 and d = (hi - lo)/2, border a k x k minor M with a
+    first row (1, c, ..., c) over a zero column, which keeps det M, and
+    subtract that row from the others: the columns become (1, -1, ..., -1)
+    and (c, M_j - c), of norms sqrt(k+1) and at most sqrt(c^2 + k d^2), so
+    Hadamard's inequality gives |det M| <= sqrt(k+1) (c^2 + k d^2)^(k/2).
+    Bareiss compares minors of every size, so the maximum over k is taken;
+    k = 0 is the empty minor, 1.
+    """
+    c, d = (lo + hi) / 2, (hi - lo) / 2
+    best = 0.0
+    for k in range(1, side + 1):
+        g = c * c + k * d * d
+        if g > 0:  # g = 0 only for an all-zero stack, whose minors are 0
+            best = max(best, 0.5 * math.log(k + 1) + 0.5 * k * math.log(g))
+    return best
+
+
+def _column_log_bounds(mats: np.ndarray, c: float) -> np.ndarray:
+    """Per matrix, log of sqrt(s+1) * prod_j max(1, sqrt(c^2 + |a_j - c|^2))
+    over the columns a_j, with s = min(rows, cols).
+
+    The bordered matrix of _shift_log_bound, built on a k x k minor, has
+    column norms sqrt(k+1) <= sqrt(s+1) and at most sqrt(c^2 + |a_j - c|^2)
+    for the minor's columns; the clamp at 1 lets the product over every
+    column bound the product over any subset of them.
+    """
+    _, nrow, ncol = mats.shape
+    shifted = mats - c
+    col_sq = np.einsum("mij,mij->mj", shifted, shifted) + c * c
+    return 0.5 * math.log(min(nrow, ncol) + 1) + 0.5 * np.log(np.maximum(col_sq, 1.0)).sum(axis=1)
+
+
+def _minor_log_bounds(mats: np.ndarray, cut: float) -> np.ndarray:
+    """Per matrix of an int64 (matrix, row, col) stack, log H with H a bound
+    on |every minor| of the matrix, empty minor included.
+
+    The stack's Hadamard bound needs one max|a| pass. Only when it is >= cut
+    does the stack's shift bound follow, and only when that is >= cut too
+    does each matrix get its own column bound. The smallest bound computed
+    is returned.
+    """
+    nmat, nrow, ncol = mats.shape
+    side = min(nrow, ncol)
+    # read as uint64, |INT64_MIN| wraps to 2^63 instead of a negative value
+    max_abs = float(np.abs(mats).view(np.uint64).max(initial=0))
+    log_h = _hadamard_log_bound(max_abs, side)
+    if log_h < cut:
+        return np.full(nmat, log_h)
+    lo, hi = float(mats.min()), float(mats.max())
+    log_h = min(log_h, _shift_log_bound(lo, hi, side))
+    if log_h < cut:
+        return np.full(nmat, log_h)
+    return np.minimum(log_h, _column_log_bounds(mats, (lo + hi) / 2))
+
+
 def batch_exact_ranks(
     mats: np.ndarray, primes: tuple[int, int], counters: dict | None = None
 ) -> np.ndarray:
-    """Exact ranks for a stack of integer matrices, by one of three paths.
+    """Exact ranks for a stack of integer matrices, each by one of three paths.
 
-    H is the Hadamard bound of the stack, (max|a| * sqrt(s))^s with
-    s = min(rows, cols); it bounds every minor.
+    H is a bound on every minor of a matrix (_minor_log_bounds): the
+    smallest of the stack's Hadamard bound (max|a| * sqrt(s))^s with
+    s = min(rows, cols), the stack's shift bound around the centre of its
+    entry range, and, when neither puts the stack on path 1, the matrix's
+    own bordered column-norm bound. Each matrix takes a path by its own H.
 
     1. H < primes[0] and 2*H^2 < 2^53: float64 Bareiss elimination. Every
        intermediate value is an integer below 2^53, so the ranks are exact.
@@ -556,24 +634,27 @@ def batch_exact_ranks(
     p1, p2 = primes
     if p1 == p2:
         raise ValueError("need two distinct primes")
-    max_abs = float(np.abs(mats).max(initial=0))
-    log_h = _hadamard_log_bound(max_abs, full)
-    if log_h < math.log(p1) and log_h < _FLOAT_EXACT_LOG_BOUND:
-        if counters is not None:
-            counters["float_bareiss"] = counters.get("float_bareiss", 0) + nmat
+    log_p1 = math.log(p1)
+    float_cut = min(log_p1, _FLOAT_EXACT_LOG_BOUND)
+    log_h = _minor_log_bounds(mats, float_cut)
+    on_float = log_h < float_cut
+    n_float = int(np.count_nonzero(on_float))
+    if counters is not None and n_float:
+        counters["float_bareiss"] = counters.get("float_bareiss", 0) + n_float
+    if n_float == nmat:
         return _batch_rank_float(mats)
-    r1 = _batch_rank_mod(mats, p1)
-    if log_h < math.log(p1):
-        return r1
-    suspect = np.nonzero(r1 < full)[0]
+    out = np.empty(nmat, dtype=np.int64)
+    if n_float:
+        out[on_float] = _batch_rank_float(mats[on_float])
+    rest = np.flatnonzero(~on_float)
+    out[rest] = _batch_rank_mod(mats[rest], p1)
+    suspect = rest[(out[rest] < full) & (log_h[rest] >= log_p1)]
     if suspect.size == 0:
-        return r1
+        return out
     if counters is not None:
         counters["second_prime"] = counters.get("second_prime", 0) + int(suspect.size)
     r2 = _batch_rank_mod(mats[suspect], p2)
-    out = r1.copy()
-    agree = (r2 == r1[suspect]) & (log_h < math.log(p1) + math.log(p2))
-    out[suspect[agree]] = r2[agree]
+    agree = (r2 == out[suspect]) & (log_h[suspect] < log_p1 + math.log(p2))
     for i in suspect[~agree]:
         if counters is not None:
             counters["exact_fallback"] = counters.get("exact_fallback", 0) + 1

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from ranklab.cli import SUBCOMMANDS, ConfigError, load_config, run
-from ranklab.matrix_core import save_matrix_text
+from ranklab.experiments import RankTrialConfig, estimate_deficiency
+from ranklab.matrix_core import parse_distribution, save_matrix_text
 
 ALL_SUBCOMMANDS = [
     "rank-prob",
@@ -126,6 +127,42 @@ def test_exhaustive_rank_runs_share_the_enumeration_cap(tmp_path, capsys, subcom
                 "--out", str(out)]) == 1
     assert "capped" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("subcommand", ["rank-prob", "exhaustive"])
+def test_atoms_outside_int64_exit_1_with_no_files(tmp_path, capsys, subcommand):
+    out = tmp_path / "big"
+    assert run([subcommand, "--dist", "atoms:1e19:0.5,-1e19:0.5", "--n", "3",
+                "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "subcommand,dist,n,trials",
+    [
+        ("rank-prob", "bernoulli(0.5)", 16, 300),  # every matrix on the float path
+        ("rank-prob", "atoms:-100:0.5,100:0.5", 6, 300),  # modular, second prime
+        ("decay-fit", "atoms:-100:0.5,100:0.5", 6, 2000),
+    ],
+)
+def test_rank_runs_report_certification_counters(tmp_path, subcommand, dist, n, trials):
+    out = tmp_path / "c"
+    assert run([subcommand, "--dist", dist, "--n", str(n), "--trials", str(trials),
+                "--seed", "5", "--out", str(out)]) == 0
+    got = json.loads((tmp_path / "c.json").read_text())["result"]["counters"]
+    direct: dict = {}
+    k_max = 1 if subcommand == "rank-prob" else 2
+    estimate_deficiency(
+        RankTrialConfig(dist=parse_distribution(dist), n=n, k_max=k_max, trials=trials,
+                        master_seed=5),
+        direct,
+    )
+    assert got == {"float_bareiss": 0, "second_prime": 0, "exact_fallback": 0, **direct}
+    if dist == "bernoulli(0.5)":
+        assert got["float_bareiss"] == trials
+    else:
+        assert got["float_bareiss"] == 0 and got["second_prime"] > 0
 
 
 def test_threads_flag_is_gone(tmp_path):

@@ -269,7 +269,13 @@ def test_centering_bernoulli_gives_sign_matrix_law():
 
 @pytest.mark.parametrize(
     "dist,n,trials,float_path",
-    [(rademacher(), 10, 2100, True), (bernoulli(0.5), 16, 300, False)],
+    [
+        (rademacher(), 10, 2100, True),
+        # the shift bound puts 0/1 at n = 16 on the float path (log H = 12.99)
+        (bernoulli(0.5), 16, 300, True),
+        # no bound gets +-100 at n = 6 under 26 ln 2
+        (DistributionSpec([(-100.0, 0.5), (100.0, 0.5)]), 6, 300, False),
+    ],
 )
 def test_estimator_counts_float_path(dist, n, trials, float_path):
     cfg = RankTrialConfig(dist=dist, n=n, k_max=2, trials=trials, master_seed=3)

@@ -1,6 +1,8 @@
 """Unit tests for distributions, RNG streams, rank engines, and norms."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,6 +114,39 @@ def test_weighted_sampling_frequencies():
     mean = float(arr.mean())
     # 4 sigma band around 0.3 at this sample size
     assert abs(mean - 0.3) < 4 * math.sqrt(0.3 * 0.7 / 200_000)
+
+
+def _values_then_cast(dist, shape, stream):
+    """The earlier sample_array: index a float64 values array, cast to int64."""
+    gen = stream.generator()
+    values = np.array(dist.values)
+    if dist.is_uniform:
+        idx = gen.integers(0, len(values), size=shape)
+    else:
+        cdf = np.cumsum(dist.probs)
+        cdf[-1] = 1.0
+        idx = np.searchsorted(cdf, gen.random(shape), side="right")
+    return values[idx].astype(np.int64)
+
+
+@pytest.mark.parametrize(
+    "text", ["rademacher", "uniform-int(3)", "bernoulli(0.3)", "atoms:-7:0.125,2:0.5,40:0.375"]
+)
+def test_sample_array_int64_table_keeps_the_draws(text):
+    d = mc.parse_distribution(text)
+    got = mc.sample_array(d, (50, 4, 4), mc.RngStream(21, 3))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _values_then_cast(d, (50, 4, 4), mc.RngStream(21, 3)))
+
+
+def test_int64_atoms_range():
+    top = 2**63 - 1
+    assert mc.int64_atoms([-top, 0, top]).tolist() == [-top, 0, top]
+    for bad in (2**63, -(2**63), 1e19, -1e19):
+        with pytest.raises(ValueError, match="int64"):
+            mc.int64_atoms([0, bad])
+    with pytest.raises(ValueError, match="int64"):
+        mc.sample_array(mc.parse_distribution("atoms:1e19:0.5,-1e19:0.5"), (2, 2), mc.RngStream(1))
 
 
 # --- exact rank ------------------------------------------------------------
@@ -239,7 +274,7 @@ def test_batch_exact_ranks_agrees_with_exact():
 
 
 def test_batch_exact_ranks_second_prime_path():
-    # entries of +-100 at side 6 push the Hadamard bound past any 31-bit
+    # entries of +-100 at side 6 push every minor bound past any 31-bit
     # prime, and planted row sums make some matrices genuinely deficient,
     # so the second-prime branch must run and still get every rank right
     rng = np.random.default_rng(1)
@@ -266,12 +301,14 @@ def test_batch_exact_ranks_disagreement_falls_back():
 
 def test_batch_exact_ranks_agreement_beyond_prime_product_falls_back():
     # det 6^2 - 1 = 5 * 7: ranks mod 5 and mod 7 agree on 1, but the
-    # Hadamard bound 72 exceeds 35, so agreement certifies nothing
+    # matrix's column bound sqrt(3) * 24.75 = 42.9 exceeds 35, so agreement
+    # certifies nothing. The singular [[6, 2], [3, 1]] also agrees, and its
+    # own bound sqrt(3 * 18.75 * 20.75) = 34.2 < 35 certifies that.
     mats = np.array([[[6, 1], [1, 6]], [[6, 2], [3, 1]]], dtype=np.int64)
     counters: dict = {}
     got = mc.batch_exact_ranks(mats, (5, 7), counters)
     assert got.tolist() == [2, 1]
-    assert counters == {"second_prime": 2, "exact_fallback": 2}
+    assert counters == {"second_prime": 2, "exact_fallback": 1}
 
 
 def test_batch_exact_ranks_rejects_equal_primes():
@@ -426,6 +463,9 @@ def threshold_stacks(draw, top):
 
 def test_threshold_entries_straddle_float_bound():
     assert mc._hadamard_log_bound(45, 4) < FLOAT_LOG_BOUND < mc._hadamard_log_bound(46, 4)
+    # on a symmetric stack (lo = -hi) the shift bound is no help
+    for top in (45, 46):
+        assert mc._shift_log_bound(-top, top, 4) > mc._hadamard_log_bound(top, 4)
 
 
 @given(st.sampled_from([45, 46]).flatmap(threshold_stacks))
@@ -435,12 +475,135 @@ def test_float_path_taken_exactly_below_bound(mats):
     want = _exact_ranks(mats)
     p1 = mc.random_prime(mc.RngStream(8, 1), 31)
     p2 = mc.random_prime(mc.RngStream(8, 2), 31)
+    on_float = mc._minor_log_bounds(mats, FLOAT_LOG_BOUND) < FLOAT_LOG_BOUND
     counters: dict = {}
     assert mc.batch_exact_ranks(mats, (p1, p2), counters).tolist() == want
-    assert counters.get("float_bareiss", 0) == (len(mats) if top == 45 else 0)
+    assert counters.get("float_bareiss", 0) == on_float.sum()
     assert mc._batch_rank_mod(mats, P31).tolist() == want
-    if top == 45:
-        assert mc._batch_rank_float(mats).tolist() == want
+    if top == 45:  # the stack's Hadamard bound already certifies it
+        assert on_float.all()
+    if top == 46:
+        # 46 * H4 attains the Hadamard bound, above 2^26: no bound may
+        # certify it, so it must stay off the float path
+        for m, fl in zip(mats, on_float):
+            if np.array_equal(m @ m.T, 4 * top * top * np.eye(4)):
+                assert not fl
+    if on_float.any():
+        assert mc._batch_rank_float(mats[on_float]).tolist() == np.array(want)[on_float].tolist()
+
+
+# --- minor bounds ------------------------------------------------------------
+
+
+def _det(rows):
+    """Exact determinant by Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, len(m)):
+            f = m[i][col] / m[col][col]
+            m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return det
+
+
+def _largest_minor(m):
+    """max |det| over every square minor of m, the empty minor (1) included."""
+    rows, cols = len(m), len(m[0])
+    best = Fraction(1)
+    for k in range(1, min(rows, cols) + 1):
+        for ri in itertools.combinations(range(rows), k):
+            for ci in itertools.combinations(range(cols), k):
+                best = max(best, abs(_det([[m[i][j] for j in ci] for i in ri])))
+    return best
+
+
+@st.composite
+def boxed_stacks(draw):
+    """(lo, hi, stack) for stacks of 1..5 x 1..5 integer matrices with
+    entries in [lo, hi]; a matrix draws from the whole box, from {lo, hi}
+    only, or from {lo, hi} and the box's point nearest 0."""
+    lo = draw(st.integers(-6, 6))
+    hi = draw(st.integers(lo, 8))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["box", "extreme", "extreme_or_zero"]))
+        if kind == "box":
+            entry = st.integers(lo, hi)
+        elif kind == "extreme":
+            entry = st.sampled_from([lo, hi])
+        else:
+            entry = st.sampled_from(sorted({lo, hi, min(max(0, lo), hi)}))
+        flat = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+        mats.append(np.array(flat, dtype=np.int64).reshape(rows, cols))
+    return lo, hi, np.stack(mats)
+
+
+@given(boxed_stacks(), st.sampled_from([1, 2, 8]))
+@settings(max_examples=150, deadline=None)
+def test_minor_bounds_hold_for_every_minor(box, scale):
+    # entries scaled by 1/scale test the bounds on real boxes too: for
+    # integer boxes the shift bound's maximum sits at k = side, for a box
+    # such as [0, 1/4] it sits at a smaller k
+    lo, hi, mats = box
+    side = min(mats.shape[1:])
+    shift = mc._shift_log_bound(lo / scale, hi / scale, side)
+    cols = mc._column_log_bounds(mats / scale, (lo + hi) / (2 * scale))
+    combined = mc._minor_log_bounds(mats, 0.0)  # cut 0: the least of all three bounds
+    for i, m in enumerate(mats):
+        log_minor = math.log(_largest_minor([[Fraction(int(x), scale) for x in row] for row in m]))
+        assert log_minor <= shift + 1e-9
+        assert log_minor <= cols[i] + 1e-9
+        if scale == 1:
+            assert log_minor <= combined[i] + 1e-9
+
+
+def test_minor_bound_examples():
+    # 0/1 at n = 16: 12.99, under 26 ln 2 where the Hadamard bound is 22.18
+    assert mc._shift_log_bound(0, 1, 16) == pytest.approx(12.9920, abs=1e-4)
+    # the 3 x 3 0/1 matrix of determinant 2 needs the sqrt(k+1) factor
+    assert mc._shift_log_bound(0, 1, 3) >= math.log(2)
+    # [0, 1/4]: the largest minor is the empty one, not a side-2 minor
+    assert mc._shift_log_bound(0, 0.25, 2) == 0.0
+    # a 1 x 5 row of ones: its column norms sit below 1, clamped to 1
+    ones = np.ones((1, 1, 5), dtype=np.int64)
+    assert mc._column_log_bounds(ones, 0.5)[0] == pytest.approx(0.5 * math.log(2))
+    assert mc._minor_log_bounds(np.zeros((2, 3, 3), dtype=np.int64), 0.0).tolist() == [0.0, 0.0]
+
+
+def test_batch_exact_ranks_mixed_float_and_modular():
+    # +-100 stack: the stack bounds miss the float region, so each matrix is
+    # routed by its own column bound; the sparse ones go float, the dense
+    # ones modular, some of them on to the second prime. Row copies keep
+    # the entry box at [-100, 100], so the column bounds' centre is 0.
+    rng = np.random.default_rng(4)
+    dense = rng.integers(-100, 101, size=(60, 6, 6))
+    dense[::3, -1] = dense[::3, 0]
+    sparse = rng.integers(-1, 2, size=(60, 6, 6))
+    sparse[:, 0, 0] = 100
+    sparse[1::3, -1] = sparse[1::3, 2]
+    mats = np.concatenate([dense, sparse])[rng.permutation(120)]
+    p1 = mc.random_prime(mc.RngStream(9, 1), 31)
+    p2 = mc.random_prime(mc.RngStream(9, 2), 31)
+    counters: dict = {}
+    got = mc.batch_exact_ranks(mats, (p1, p2), counters)
+    assert got.tolist() == _exact_ranks(mats)
+    assert counters["float_bareiss"] == 60
+    assert counters["second_prime"] >= 20
+
+
+def test_batch_exact_ranks_int64_min_entry():
+    # |INT64_MIN| is not an int64; read as one, it hid the entry from the
+    # bound and sent the matrix to float elimination, which lost the rank
+    m = np.array([[[-(2**63), 0, -2], [-1, 1, 2], [-1, -1, -2]]], dtype=np.int64)
+    assert mc.batch_exact_ranks(m, (2147483647, 2147483629)).tolist() == [3]
 
 
 # --- norms -----------------------------------------------------------------
