@@ -483,38 +483,62 @@ def _eliminate(a: np.ndarray, p: int | None) -> np.ndarray:
     each step divides by the previous pivot, so every entry stays a minor of
     the input and every division is exact.
 
-    Rows are never swapped. A matrix's pivot is its first row with a nonzero
-    entry in the column; the update cancels the pivot row itself to zero,
-    so it never pivots again, and every other row is rescaled, including
-    rows whose lead is 0 (Bareiss needs them to stay minors). Only columns
-    right of the pivot are updated. In a matrix without a pivot every lead
-    is 0, and scale 1 with divisor 1 makes the update a no-op there.
-    Matrices sit on the last axis, so every step runs over long contiguous
-    runs.
+    A matrix's pivot is its first row at or below row rank_m (its rank so
+    far) with a nonzero entry in the column. The pivot row is moved up to
+    row rank_m: its values are kept aside for the update, the row that sat
+    at rank_m takes its place, and row rank_m is set to zero, which is what
+    the update leaves in a pivot row. So in every matrix the rows above
+    rank_m are zero in every column still to come, and each step searches
+    and updates only the rows from lo = min(rank) of the batch down. Only
+    matrices with a pivot in the column move a row: a pivotless matrix
+    keeps its rank, and a move there would zero a live row.
+
+    Every updated row is rescaled, including rows whose lead is 0 (Bareiss
+    needs them to stay minors); a move only reorders rows, so every entry
+    stays a minor up to sign. In a matrix without a pivot every lead is 0,
+    and scale 1 with divisor 1 makes the update a no-op there. Only columns
+    right of the pivot are updated, and lead * pivot row is written into
+    one buffer allocated per call. Matrices sit on the last axis, so every
+    step runs over long contiguous runs; `a` must be C-contiguous, since
+    rows are moved through a flat (col, row * nmat + matrix) view of it.
     """
     ncol, nrow, nmat = a.shape
     rank = np.zeros(nmat, dtype=np.int64)
     prev = np.ones(nmat, dtype=a.dtype)
     mat_ix = np.arange(nmat)
     one = a.dtype.type(1)
+    flat = a.reshape(ncol, nrow * nmat)
+    first = np.arange(nrow, 0, -1)[:, None]  # row i scores nrow - i
+    outer = np.empty(a[1:].size, dtype=a.dtype)
     for col in range(ncol):
-        lead = a[col]
-        nz = lead != 0
-        has = nz.any(axis=0)
+        lo = int(rank.min(initial=nrow))  # initial: a batch of no matrices
+        lead = a[col, lo:]
+        # the first nonzero lead scores highest and 0 means no pivot;
+        # argmax over the row axis would copy the column first
+        score = ((lead != 0) * first[lo:]).max(axis=0, initial=0)
+        has = score > 0
         if not has.any():
             continue
-        rank += has
-        piv = nz.argmax(axis=0)
-        pv = lead[piv, mat_ix]
-        rest = a[col + 1 :]
-        piv_row = rest[:, piv, mat_ix]
+        # a pivotless matrix points at its last row, whose lead is 0
+        piv = (nrow - np.maximum(score, 1)) * nmat + mat_ix
+        pv = flat[col, piv]
+        piv_row = flat[col + 1 :, piv]
+        top = rank * nmat + mat_ix
+        move = has & (piv != top)
+        if move.any():
+            flat[col:, piv[move]] = flat[col:, top[move]]
+            flat[col:, top[move]] = 0
+        rest = a[col + 1 :, lo:]
+        update = outer[: rest.size].reshape(rest.shape)
+        np.multiply(lead, piv_row[:, None, :], out=update)
         rest *= np.where(has, pv, one)
-        rest -= lead * piv_row[:, None, :]
+        rest -= update
         if p is None:
             rest /= np.where(has, prev, one)
             prev = np.where(has, pv, prev)
         else:
             rest %= p
+        rank += has
     return rank
 
 
@@ -561,18 +585,24 @@ def _shift_log_bound(lo: float, hi: float, side: int) -> float:
     return best
 
 
-def _column_log_bounds(mats: np.ndarray, c: float) -> np.ndarray:
-    """Per matrix, log of sqrt(s+1) * prod_j max(1, sqrt(c^2 + |a_j - c|^2))
-    over the columns a_j, with s = min(rows, cols).
+def _column_log_bounds(mats: np.ndarray) -> np.ndarray:
+    """Per matrix, log of sqrt(s+1) * prod_j max(1, sqrt(|a_j|^2 - S_j^2/(m+1)))
+    over the columns a_j, with S_j the sum of a_j, m the row count and
+    s = min(rows, cols).
 
-    The bordered matrix of _shift_log_bound, built on a k x k minor, has
-    column norms sqrt(k+1) <= sqrt(s+1) and at most sqrt(c^2 + |a_j - c|^2)
-    for the minor's columns; the clamp at 1 lets the product over every
+    The bordered matrix of _shift_log_bound, built on a k x k minor, keeps
+    det M for any border row (c_j) over the minor's columns: its column
+    norms are sqrt(k+1) <= sqrt(s+1) and at most sqrt(c_j^2 + |a_j - c_j|^2).
+    c_j = S_j/(m+1) minimizes that, to sqrt(|a_j|^2 - S_j^2/(m+1)), so every
+    column gets its own centre. The clamp at 1 lets the product over every
     column bound the product over any subset of them.
     """
     _, nrow, ncol = mats.shape
-    shifted = mats - c
-    col_sq = np.einsum("mij,mij->mj", shifted, shifted) + c * c
+    shifted = mats.astype(np.float64)
+    # einsum: a sum over the middle axis is several times slower
+    centre = np.einsum("mij->mj", shifted) / (nrow + 1)
+    shifted -= centre[:, None, :]
+    col_sq = np.einsum("mij,mij->mj", shifted, shifted) + centre * centre
     return 0.5 * math.log(min(nrow, ncol) + 1) + 0.5 * np.log(np.maximum(col_sq, 1.0)).sum(axis=1)
 
 
@@ -580,23 +610,24 @@ def _minor_log_bounds(mats: np.ndarray, cut: float) -> np.ndarray:
     """Per matrix of an int64 (matrix, row, col) stack, log H with H a bound
     on |every minor| of the matrix, empty minor included.
 
-    The stack's Hadamard bound needs one max|a| pass. Only when it is >= cut
+    The stack's Hadamard bound needs its min and max. Only when it is >= cut
     does the stack's shift bound follow, and only when that is >= cut too
     does each matrix get its own column bound. The smallest bound computed
     is returned.
     """
     nmat, nrow, ncol = mats.shape
+    if mats.size == 0:
+        return np.zeros(nmat)
     side = min(nrow, ncol)
-    # read as uint64, |INT64_MIN| wraps to 2^63 instead of a negative value
-    max_abs = float(np.abs(mats).view(np.uint64).max(initial=0))
-    log_h = _hadamard_log_bound(max_abs, side)
+    # as python ints, |INT64_MIN| = 2^63 stays exact instead of wrapping
+    lo, hi = int(mats.min()), int(mats.max())
+    log_h = _hadamard_log_bound(float(max(-lo, hi)), side)
     if log_h < cut:
         return np.full(nmat, log_h)
-    lo, hi = float(mats.min()), float(mats.max())
-    log_h = min(log_h, _shift_log_bound(lo, hi, side))
+    log_h = min(log_h, _shift_log_bound(float(lo), float(hi), side))
     if log_h < cut:
         return np.full(nmat, log_h)
-    return np.minimum(log_h, _column_log_bounds(mats, (lo + hi) / 2))
+    return np.minimum(log_h, _column_log_bounds(mats))
 
 
 def batch_exact_ranks(

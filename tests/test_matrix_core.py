@@ -434,6 +434,47 @@ def test_kernels_exact_on_larger_sign_stacks(rows, cols, seed):
     assert mc._batch_rank_mod(mats, P31).tolist() == want
 
 
+def _lagging_stack():
+    """5 x 5 matrices whose ranks part early, so that min(rank) of the batch
+    lags behind the column: a zero matrix, zero first columns, pivots found
+    only in the last row, row copies and full-rank matrices."""
+    rng = np.random.default_rng(7)
+    eye = np.eye(5, dtype=np.int64)
+    full = rng.integers(-3, 4, size=(4, 5, 5)) + 9 * eye  # diagonally dominant
+    copies = rng.integers(-3, 4, size=(3, 5, 5))
+    copies[:, 0, 0] = 2  # row 0 pivots at once and is copied further down
+    copies[0, 1], copies[1, 3], copies[2, 4] = copies[0, 0], copies[1, 0], -copies[2, 0]
+    zero_cols = rng.integers(-3, 4, size=(3, 5, 5))
+    zero_cols[0, :, 0] = 0
+    zero_cols[0, 1] = zero_cols[0, 0]  # so the last row is needed for rank 4
+    zero_cols[1, :, :2] = 0
+    zero_cols[2, :, [0, 2]] = 0
+    last_row = np.zeros((5, 5), dtype=np.int64)
+    last_row[-1] = [1, 2, 3, 4, 5]
+    anti = eye[::-1]  # the first column's pivot is in the last row
+    mats = np.concatenate(
+        [np.zeros((1, 5, 5), dtype=np.int64), full, copies, zero_cols, [last_row, anti, anti + eye]]
+    )
+    return mats[np.random.default_rng(8).permutation(len(mats))]
+
+
+def test_kernels_exact_when_batch_rank_lags():
+    mats = _lagging_stack()
+    want = _exact_ranks(mats)
+    assert sorted(set(want)) == [0, 1, 3, 4, 5]
+    assert _float_ranks_checked(mats) == want
+    assert mc._batch_rank_mod(mats, P31).tolist() == want
+
+
+def test_kernels_accept_empty_stacks():
+    for shape in ((0, 3, 3), (2, 0, 3), (2, 3, 0)):
+        mats = np.zeros(shape, dtype=np.int64)
+        want = [0] * shape[0]
+        assert mc._batch_rank_float(mats).tolist() == want
+        assert mc._batch_rank_mod(mats, P31).tolist() == want
+        assert mc.batch_exact_ranks(mats, (5, 7)).tolist() == want
+
+
 def _signed_hadamard4(draw):
     h2 = np.array([[1, 1], [1, -1]], dtype=np.int64)
     h = np.kron(h2, h2)
@@ -546,6 +587,14 @@ def boxed_stacks(draw):
     return lo, hi, np.stack(mats)
 
 
+def _stack_centred_column_log_bounds(mats, c):
+    """The column bound with one centre c for every column: the bordered
+    column norms sqrt(c^2 + |a_j - c|^2)."""
+    _, nrow, ncol = mats.shape
+    col_sq = ((mats - c) ** 2).sum(axis=1) + c * c
+    return 0.5 * math.log(min(nrow, ncol) + 1) + 0.5 * np.log(np.maximum(col_sq, 1.0)).sum(axis=1)
+
+
 @given(boxed_stacks(), st.sampled_from([1, 2, 8]))
 @settings(max_examples=150, deadline=None)
 def test_minor_bounds_hold_for_every_minor(box, scale):
@@ -555,12 +604,15 @@ def test_minor_bounds_hold_for_every_minor(box, scale):
     lo, hi, mats = box
     side = min(mats.shape[1:])
     shift = mc._shift_log_bound(lo / scale, hi / scale, side)
-    cols = mc._column_log_bounds(mats / scale, (lo + hi) / (2 * scale))
+    cols = mc._column_log_bounds(mats / scale)
     combined = mc._minor_log_bounds(mats, 0.0)  # cut 0: the least of all three bounds
+    stack_centred = _stack_centred_column_log_bounds(mats / scale, (lo + hi) / (2 * scale))
     for i, m in enumerate(mats):
         log_minor = math.log(_largest_minor([[Fraction(int(x), scale) for x in row] for row in m]))
         assert log_minor <= shift + 1e-9
         assert log_minor <= cols[i] + 1e-9
+        # per-column centres minimize each bordered column norm
+        assert cols[i] <= stack_centred[i] + 1e-9
         if scale == 1:
             assert log_minor <= combined[i] + 1e-9
 
@@ -574,15 +626,14 @@ def test_minor_bound_examples():
     assert mc._shift_log_bound(0, 0.25, 2) == 0.0
     # a 1 x 5 row of ones: its column norms sit below 1, clamped to 1
     ones = np.ones((1, 1, 5), dtype=np.int64)
-    assert mc._column_log_bounds(ones, 0.5)[0] == pytest.approx(0.5 * math.log(2))
+    assert mc._column_log_bounds(ones)[0] == pytest.approx(0.5 * math.log(2))
     assert mc._minor_log_bounds(np.zeros((2, 3, 3), dtype=np.int64), 0.0).tolist() == [0.0, 0.0]
 
 
 def test_batch_exact_ranks_mixed_float_and_modular():
     # +-100 stack: the stack bounds miss the float region, so each matrix is
     # routed by its own column bound; the sparse ones go float, the dense
-    # ones modular, some of them on to the second prime. Row copies keep
-    # the entry box at [-100, 100], so the column bounds' centre is 0.
+    # ones modular, some of them on to the second prime.
     rng = np.random.default_rng(4)
     dense = rng.integers(-100, 101, size=(60, 6, 6))
     dense[::3, -1] = dense[::3, 0]
@@ -599,11 +650,36 @@ def test_batch_exact_ranks_mixed_float_and_modular():
     assert counters["second_prime"] >= 20
 
 
+def test_column_bounds_centre_each_column():
+    # two dense +-100 matrices hold -160 and 173, so the stack's range is
+    # [-160, 173]. Centred on its middle, 6.5, the sparse {-1, 0, 1}
+    # matrices with one 100 got bounds around 19.5, above 26 ln 2, and went
+    # modular; centred per column they stay on the float path.
+    rng = np.random.default_rng(12)
+    dense = rng.integers(-100, 101, size=(60, 6, 6))
+    dense[0, 0, 0], dense[1, 0, 0] = -160, 173
+    dense[::3, -1] = dense[::3, 1]
+    sparse = rng.integers(-1, 2, size=(60, 6, 6))
+    sparse[:, 0, 0] = 100
+    sparse[1::3, -1] = sparse[1::3, 2]
+    mats = np.concatenate([dense, sparse])
+    assert (mats.min(), mats.max()) == (-160, 173)
+    assert (_stack_centred_column_log_bounds(sparse, 6.5) > FLOAT_LOG_BOUND).all()
+    assert (mc._column_log_bounds(sparse) < FLOAT_LOG_BOUND).all()
+    assert (mc._column_log_bounds(dense) >= FLOAT_LOG_BOUND).all()
+    p1 = mc.random_prime(mc.RngStream(10, 1), 31)
+    p2 = mc.random_prime(mc.RngStream(10, 2), 31)
+    counters: dict = {}
+    assert mc.batch_exact_ranks(mats, (p1, p2), counters).tolist() == _exact_ranks(mats)
+    assert counters["float_bareiss"] == 60
+
+
 def test_batch_exact_ranks_int64_min_entry():
     # |INT64_MIN| is not an int64; read as one, it hid the entry from the
     # bound and sent the matrix to float elimination, which lost the rank
     m = np.array([[[-(2**63), 0, -2], [-1, 1, 2], [-1, -1, -2]]], dtype=np.int64)
     assert mc.batch_exact_ranks(m, (2147483647, 2147483629)).tolist() == [3]
+    assert mc._minor_log_bounds(m, math.inf).tolist() == [mc._hadamard_log_bound(2.0**63, 3)]
 
 
 # --- norms -----------------------------------------------------------------
