@@ -282,7 +282,7 @@ def _run_qgt_audit(res):
         m=res["m"],
         n=res["n"],
         q=res["q"],
-        k_probe=res["k-probe"],
+        k_probe=0,
         sample_submatrices=res["samples"],
         exhaustive=bool(res["exhaustive"]),
     )
@@ -469,7 +469,6 @@ SUBCOMMANDS: dict[str, tuple[str, list[Param], object]] = {
             Param("m", "int", None, "rows / submatrix side"),
             Param("n", "int", None, "columns"),
             Param("q", "float", 0.5, "Bernoulli parameter"),
-            Param("k-probe", "int", 0, "adversarial row count echoed in config"),
             Param("samples", "int", 1000, "sampled column sets (ignored when exhaustive)"),
             Param("exhaustive", "flag", False, "enumerate all column sets (budget-capped)"),
             Param("C-q", "float", 4.0, "deficiency threshold constant, C_q * log n"),

@@ -603,7 +603,7 @@ def qgt_adversarial(a, k: int, q: float | None = None) -> AdversarialReport:
     identical rows collapse to one, not to zero). Supplying q adds the
     sizing cross-check n*q^k >= 10*m.
     """
-    arr = np.asarray(a.to_lists() if hasattr(a, "to_lists") else a, dtype=np.int64)
+    arr = np.asarray(a, dtype=np.int64)
     m, n = arr.shape
     if not (1 <= k < m):
         raise ValueError("need 1 <= k < m")

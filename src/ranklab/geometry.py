@@ -21,8 +21,6 @@ import numpy as np
 from scipy.stats import norm as _norm
 from scipy.stats import qmc
 
-from .matrix_core import load_real_matrix
-
 __all__ = [
     "SparsityParams",
     "AOSystem",
@@ -33,7 +31,6 @@ __all__ = [
     "ao_check",
     "triangular_ao_bound_check",
     "greedy_ao_extract",
-    "load_candidates",
 ]
 
 _SPHERE_TOL = 1e-9
@@ -377,9 +374,3 @@ def greedy_ao_extract(
         condition_b_ok=min_dist > proximity_eps,
         min_sample_distance=min_dist,
     )
-
-
-def load_candidates(path) -> list[np.ndarray]:
-    """Candidate vectors from the text matrix format, one vector per row."""
-    arr = load_real_matrix(path)
-    return [arr[i] for i in range(arr.shape[0])]

@@ -1,10 +1,11 @@
 """Exact and modular linear algebra for integer random matrices.
 
 This module owns the plumbing everything else builds on: finite entry
-distributions, deterministic counter-based RNG streams, an arbitrary
-precision integer matrix container, fraction-free exact rank, rank over
-GF(p), and the dense-matrix norms. The exact rank path never touches
-floating point.
+distributions, deterministic counter-based RNG streams, fraction-free exact
+rank, rank over GF(p), the batched rank kernel with its certification, and
+the text format for real matrices. An integer matrix is an int64 ndarray or
+a nested list of python ints; the exact rank path never touches floating
+point.
 """
 
 from __future__ import annotations
@@ -13,29 +14,24 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "DistributionSpec",
-    "IntMatrix",
     "RngStream",
     "rademacher",
     "bernoulli",
     "centered_bernoulli",
     "uniform_int",
     "parse_distribution",
-    "sample_matrix",
     "sample_array",
     "int64_atoms",
     "exact_rank",
     "modular_rank",
-    "hs_norm",
-    "op_norm",
     "is_prime",
     "random_prime",
-    "load_int_matrix",
     "load_real_matrix",
     "save_matrix_text",
 ]
@@ -234,46 +230,8 @@ def parse_distribution(text: str) -> DistributionSpec:
     raise ValueError(f"unrecognized distribution {text!r}")
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Row-major integer matrix with arbitrary-precision entries."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry grid does not match declared shape")
-        for row in self.entries:
-            for e in row:
-                if not isinstance(e, int) or isinstance(e, bool):
-                    raise ValueError("IntMatrix entries must be python ints")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        grid = tuple(tuple(int(e) for e in r) for r in rows)
-        return cls(len(grid), len(grid[0]) if grid else 0, grid)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(list(zip(*self.entries)))
-
-    def to_numpy(self, dtype=np.float64) -> np.ndarray:
-        return np.array(self.entries, dtype=dtype)
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
-
-
 def _as_int_rows(a) -> list[list[int]]:
-    """Accept IntMatrix, nested sequences, or an integer ndarray."""
-    if isinstance(a, IntMatrix):
-        return a.to_lists()
+    """Accept nested sequences or an integer ndarray."""
     if isinstance(a, np.ndarray):
         if a.ndim != 2:
             raise ValueError("expected a 2-d array")
@@ -325,32 +283,6 @@ def sample_array(
         cdf[-1] = 1.0  # guard the top edge against fsum drift
         idx = np.searchsorted(cdf, gen.random(shape), side="right")
     return table[idx]
-
-
-def sample_matrix(
-    dist: DistributionSpec,
-    rows: int,
-    cols: int,
-    rng: RngStream | np.random.Generator,
-    kind: str | None = None,
-):
-    """Sample a rows x cols matrix; kind is "int", "real", or None for auto.
-
-    Returns an IntMatrix for integral atoms and a float ndarray otherwise.
-    Asking for kind="int" with non-integral atoms is an integrality error.
-    """
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be positive")
-    if kind is None:
-        kind = "int" if dist.is_integral else "real"
-    if kind == "int":
-        if not dist.is_integral:
-            raise ValueError("integrality: distribution has non-integer atoms")
-        arr = sample_array(dist, (rows, cols), rng)
-        return IntMatrix.from_rows(arr.tolist())
-    if kind == "real":
-        return sample_array(dist, (rows, cols), rng).astype(np.float64)
-    raise ValueError(f"kind must be 'int' or 'real', got {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -694,68 +626,28 @@ def batch_exact_ranks(
 
 
 # ---------------------------------------------------------------------------
-# norms
-
-
-def hs_norm(a) -> float:
-    """Hilbert-Schmidt (Frobenius) norm; the entry-square sum is exact for ints."""
-    if isinstance(a, IntMatrix):
-        total = sum(e * e for row in a.entries for e in row)
-        return math.sqrt(total)
-    arr = np.asarray(a, dtype=np.float64)
-    return float(np.sqrt(np.sum(arr * arr)))
-
-
-def op_norm(a) -> float:
-    """Largest singular value, from LAPACK's SVD."""
-    arr = a.to_numpy() if isinstance(a, IntMatrix) else np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("entries must be finite")
-    return float(np.linalg.norm(arr, 2))
-
-
-# ---------------------------------------------------------------------------
 # text serialization: first line "rows cols", then whitespace-separated rows
 
 
 def save_matrix_text(a, path) -> None:
-    if isinstance(a, IntMatrix):
-        rows, cols = a.rows, a.cols
-        lines = [" ".join(str(e) for e in row) for row in a.entries]
-    else:
-        arr = np.asarray(a)
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-d matrix")
-        rows, cols = arr.shape
-        lines = [" ".join(repr(float(e)) for e in row) for row in arr]
+    arr = np.asarray(a)
+    if arr.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    rows, cols = arr.shape
+    lines = [" ".join(repr(float(e)) for e in row) for row in arr]
     with open(path, "w") as fh:
         fh.write(f"{rows} {cols}\n")
         for line in lines:
             fh.write(line + "\n")
 
 
-def _read_grid(path) -> tuple[int, int, list[list[str]]]:
+def load_real_matrix(path) -> np.ndarray:
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError("first line must be 'rows cols'")
         rows, cols = int(header[0]), int(header[1])
-        grid = []
-        for line in fh:
-            if line.strip():
-                grid.append(line.split())
+        grid = [line.split() for line in fh if line.strip()]
     if len(grid) != rows or any(len(r) != cols for r in grid):
         raise ValueError("matrix body does not match declared shape")
-    return rows, cols, grid
-
-
-def load_int_matrix(path) -> IntMatrix:
-    _, _, grid = _read_grid(path)
-    return IntMatrix.from_rows([[int(x) for x in row] for row in grid])
-
-
-def load_real_matrix(path) -> np.ndarray:
-    _, _, grid = _read_grid(path)
     return np.array([[float(x) for x in row] for row in grid], dtype=np.float64)

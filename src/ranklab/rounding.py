@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ao_check
-from .matrix_core import IntMatrix, RngStream
+from .matrix_core import RngStream
 
 __all__ = [
     "ApproxTupleResult",
@@ -123,7 +123,7 @@ def approx_tuple(
     vectors = [np.asarray(v, dtype=np.float64).ravel() for v in vectors]
     if not ao_check(vectors, nu=0.125).certified:
         raise ValueError("input tuple is not (1/8)-almost-orthogonal")
-    B = B.to_numpy() if isinstance(B, IntMatrix) else np.asarray(B, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
     if B.ndim != 2 or B.shape[1] != vectors[0].size:
         raise ValueError("B column count must match vector dimension")
 

@@ -171,6 +171,15 @@ def test_threads_flag_is_gone(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_k_probe_flag_is_gone(tmp_path):
+    argv = ["qgt-audit", "--m", "3", "--n", "6", "--samples", "10"]
+    assert run(argv + ["--k-probe", "1", "--out", str(tmp_path / "f")]) == 2
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("k-probe = 1\n")
+    assert run(argv + ["--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["k.cfg"]
+
+
 def test_rank_prob_exhaustive_histogram_csv(tmp_path):
     paths = []
     for tag in ("a", "b"):

@@ -27,7 +27,6 @@ from ranklab.experiments import (
 )
 from ranklab.matrix_core import (
     DistributionSpec,
-    IntMatrix,
     RngStream,
     bernoulli,
     centered_bernoulli,
@@ -388,7 +387,7 @@ def test_qgt_config_guards():
 
 def test_adversarial_all_ones_rows_deterministic():
     rows = [[1] * 8, [1] * 8, [1] * 8, [1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 0]]
-    rep = qgt_adversarial(IntMatrix.from_rows(rows), k=3)
+    rep = qgt_adversarial(rows, k=3)
     assert rep.size_J == 8 and rep.has_m_columns
     assert rep.rank == 3 and rep.deficiency == 2  # exactly k - 1 here
 

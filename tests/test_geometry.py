@@ -229,14 +229,3 @@ def test_greedy_requires_l_below_dim():
     cands = [np.eye(6)[0], np.eye(6)[1]]
     with pytest.raises(ValueError):
         g.greedy_ao_extract(cands, basis, 3)
-
-
-def test_candidates_roundtrip_through_text(tmp_path):
-    from ranklab.matrix_core import save_matrix_text
-
-    arr = np.array([[0.5, -1.25, 3.0], [2.0, 0.0, -0.125]])
-    path = tmp_path / "cands.txt"
-    save_matrix_text(arr, path)
-    cands = g.load_candidates(path)
-    assert len(cands) == 2
-    assert np.array_equal(cands[0], arr[0])

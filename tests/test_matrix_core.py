@@ -1,4 +1,4 @@
-"""Unit tests for distributions, RNG streams, rank engines, and norms."""
+"""Unit tests for distributions, RNG streams, rank engines, and text IO."""
 
 import itertools
 import math
@@ -74,11 +74,11 @@ def test_duplicate_atoms_merged():
 
 def test_stream_repeatability_and_independence():
     s = mc.RngStream(12345, 7)
-    a = mc.sample_matrix(mc.rademacher(), 4, 4, s)
-    b = mc.sample_matrix(mc.rademacher(), 4, 4, s)
-    assert a == b
-    c = mc.sample_matrix(mc.rademacher(), 4, 4, mc.RngStream(12345, 8))
-    assert a != c
+    a = mc.sample_array(mc.rademacher(), (4, 4), s)
+    b = mc.sample_array(mc.rademacher(), (4, 4), s)
+    assert np.array_equal(a, b)
+    c = mc.sample_array(mc.rademacher(), (4, 4), mc.RngStream(12345, 8))
+    assert not np.array_equal(a, c)
 
 
 def test_derive_is_deterministic_and_position_sensitive():
@@ -93,19 +93,6 @@ def test_stream_seed_bounds():
         mc.RngStream(-1)
     with pytest.raises(ValueError):
         mc.RngStream(0, 1 << 64)
-
-
-def test_sample_matrix_integrality_error():
-    with pytest.raises(ValueError, match="integrality"):
-        mc.sample_matrix(mc.centered_bernoulli(0.5), 2, 2, mc.RngStream(1), kind="int")
-
-
-def test_sample_matrix_kinds():
-    s = mc.RngStream(3)
-    m = mc.sample_matrix(mc.rademacher(), 3, 2, s)
-    assert isinstance(m, mc.IntMatrix) and m.rows == 3 and m.cols == 2
-    r = mc.sample_matrix(mc.centered_bernoulli(0.3), 3, 2, s)
-    assert isinstance(r, np.ndarray) and r.dtype == np.float64
 
 
 def test_weighted_sampling_frequencies():
@@ -682,70 +669,7 @@ def test_batch_exact_ranks_int64_min_entry():
     assert mc._minor_log_bounds(m, math.inf).tolist() == [mc._hadamard_log_bound(2.0**63, 3)]
 
 
-# --- norms -----------------------------------------------------------------
-
-
-def test_hs_norm_examples():
-    assert mc.hs_norm(mc.IntMatrix.from_rows([[3, 4]])) == 5.0
-    assert mc.hs_norm(np.zeros((3, 3))) == 0.0
-    # exact integer path survives entries float64 cannot represent
-    big = 2**70
-    m = mc.IntMatrix.from_rows([[big, 0], [0, big]])
-    assert mc.hs_norm(m) == pytest.approx(big * math.sqrt(2), rel=1e-12)
-
-
-def test_op_norm_examples():
-    assert mc.op_norm(mc.IntMatrix.from_rows([[3, 4]])) == pytest.approx(5.0, abs=1e-8)
-    assert mc.op_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, abs=1e-8)
-    assert mc.op_norm(np.zeros((2, 5))) == 0.0
-
-
-@given(int_matrices(max_side=5))
-@settings(max_examples=40, deadline=None)
-def test_op_norm_matches_svd(m):
-    arr = np.array(m, dtype=np.float64)
-    want = float(np.linalg.svd(arr, compute_uv=False)[0])
-    assert mc.op_norm(arr) == pytest.approx(want, abs=1e-7)
-
-
-def test_op_norm_close_top_singular_values():
-    # power iteration stopped early here (7.43551129): the top two singular
-    # values are close, so successive estimates crept up by under 1e-9
-    m = [[-4, -3, 2, 0, -4], [-2, 5, -4, 0, -3], [0, -3, -3, 0, -3]]
-    want = float(np.linalg.svd(np.array(m, dtype=np.float64), compute_uv=False)[0])
-    assert mc.op_norm(np.array(m)) == pytest.approx(want, abs=1e-12)
-    assert mc.op_norm(mc.IntMatrix.from_rows(m)) == pytest.approx(7.43551139, abs=1e-8)
-
-
-def test_op_norm_deterministic():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(20, 20))
-    assert mc.op_norm(a) == mc.op_norm(a.copy())
-
-
-def test_norm_order():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(6, 6))
-    assert mc.op_norm(a) <= mc.hs_norm(a) + 1e-9
-
-
-# --- matrix container and IO -----------------------------------------------
-
-
-def test_int_matrix_validation():
-    with pytest.raises(ValueError):
-        mc.IntMatrix(2, 2, ((1, 2), (3,)))
-    with pytest.raises(ValueError):
-        mc.IntMatrix(1, 1, ((1.5,),))  # type: ignore[arg-type]
-
-
-def test_matrix_text_roundtrip_int(tmp_path):
-    m = mc.IntMatrix.from_rows([[10**30, -2], [0, 7]])
-    path = tmp_path / "m.txt"
-    mc.save_matrix_text(m, path)
-    assert mc.load_int_matrix(path) == m
-    first = path.read_text().splitlines()[0]
-    assert first == "2 2"
+# --- text IO ---------------------------------------------------------------
 
 
 def test_matrix_text_roundtrip_real(tmp_path):
@@ -760,4 +684,4 @@ def test_load_rejects_shape_mismatch(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 2\n1 2\n")
     with pytest.raises(ValueError):
-        mc.load_int_matrix(path)
+        mc.load_real_matrix(path)
