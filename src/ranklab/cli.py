@@ -328,14 +328,16 @@ def _run_kernel_probe(res):
         k=max(res["k"], 1), tau=res["tau"], rho=res["rho"], delta=res["delta"],
         p=res["p"], n=res["n"],
     )
+    counters = dict.fromkeys(("ticks", "prefix_survivors", "candidates", "confirmed"), 0)
     rep = kernel_structure_probe(
         parse_distribution(res["dist"]), res["n"], res["k"], res["trials"], regime,
         RngStream(res["seed"], 0), directions=res["directions"], C_thresh=res["C-thresh"],
+        counters=counters,
     )
     rows = [["kernel_dim", "count"]]
     for d, c in sorted(rep.dim_counts.items()):
         rows.append([d, c])
-    return rows, {"report": rep.to_record()}
+    return rows, {"report": rep.to_record(), "counters": counters}
 
 
 def _need(res, formula, *names):

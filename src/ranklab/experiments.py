@@ -704,6 +704,7 @@ def probe_kernel_of(
     directions: int = 4,
     C_thresh: float = 0.1,
     grid_points: int = 4000,
+    counters: dict | None = None,
 ) -> tuple[int, list[DirectionProbe], int, int]:
     """LCD and sparsity probe of one matrix kernel.
 
@@ -711,7 +712,8 @@ def probe_kernel_of(
     Directions are random unit combinations of the kernel basis, rescaled
     into [r*sqrt(n), R]; each gets an LCD bracket against the threshold
     exp(C*n/k). Thresholds past 1e6 are not scanned; those probes come
-    back censored rather than pretending a verdict.
+    back censored rather than pretending a verdict. `counters`, if given,
+    adds the LCD scan's tick counts (lcd_vector).
     """
     n = b.shape[1]
     basis = _kernel_basis(np.asarray(b, dtype=np.float64))
@@ -741,7 +743,9 @@ def probe_kernel_of(
         if bound <= start * (1.0 + 1e-9):
             est = LCDEstimate(upper=math.inf, lower=start, witness_theta=None, grid_step=0.0)
         else:
-            est = lcd_vector(w, params, bound, grid_step=(bound - start) / grid_points)
+            est = lcd_vector(
+                w, params, bound, grid_step=(bound - start) / grid_points, counters=counters
+            )
         unit_upper = est.upper * scale  # LCD of the unit direction
         flagged = math.isfinite(est.upper) and est.upper < threshold
         probes.append(
@@ -765,8 +769,13 @@ def kernel_structure_probe(
     rng: RngStream,
     directions: int = 4,
     C_thresh: float = 0.1,
+    counters: dict | None = None,
 ) -> KernelProbeReport:
-    """Sample (n-k) x n matrices and probe their kernels; observational only."""
+    """Sample (n-k) x n matrices and probe their kernels; observational only.
+
+    `counters`, if given, adds the LCD scan's tick counts over every probed
+    direction (lcd_vector).
+    """
     if n > 200:
         raise ValueError("kernel probe capped at n = 200")
     if k < 0 or k >= n:
@@ -781,7 +790,8 @@ def kernel_structure_probe(
         gen = rng.derive(5, t).generator()
         b = sample_array(dist, (n - k, n), gen).astype(np.float64)
         dim, probes, c, i = probe_kernel_of(
-            b, regime, rng.derive(6, t), directions=directions, C_thresh=C_thresh
+            b, regime, rng.derive(6, t), directions=directions, C_thresh=C_thresh,
+            counters=counters,
         )
         dim_counts[dim] = dim_counts.get(dim, 0) + 1
         if dim != k:

@@ -41,8 +41,10 @@ __all__ = [
 
 _REFINE_TOL = 1e-10
 _MATRIX_DIM_CAP = 8
-_SCAN_BLOCK_FLOATS = 2**15  # entries of one screened block of ray ticks
+_SCAN_BLOCK_FLOATS = 2**15  # entries of one screened block, or batch, of ray ticks
+_SCAN_PREFIX = 16  # coordinates of u summed for every tick before the full sum
 _SCREEN_SLACK = 1e-9
+_SCAN_COUNTERS = ("ticks", "prefix_survivors", "candidates", "confirmed")
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,13 @@ def _refine_crossing(u, lo, hi, params, u_norm):
     return lo, hi
 
 
-def _scan_ray(u: np.ndarray, params: LCDParams, search_bound: float, grid_step: float):
+def _scan_ray(
+    u: np.ndarray,
+    params: LCDParams,
+    search_bound: float,
+    grid_step: float,
+    counters: dict | None = None,
+):
     """Grid scan for the smallest witness scale along one direction.
 
     u is the image of the unit direction. The grid is the ticks
@@ -171,14 +179,33 @@ def _scan_ray(u: np.ndarray, params: LCDParams, search_bound: float, grid_step: 
     tick before it (start for the first), or None when the whole grid is
     clean.
 
-    Ticks are screened a block at a time in numpy: a tick is a candidate
-    when its squared lattice distance is below L^2 log+(alpha t ||u|| / L)
-    with a relative slack of _SCREEN_SLACK. The block's row sums and the
-    scalar test's norm may differ in the last bits, and the slack keeps the
-    screen from dropping a tick the scalar test would accept. Candidates are
-    then confirmed in order by _ray_condition, which alone decides the hit,
-    so the result is the one a tick-by-tick scalar loop returns.
+    Ticks are screened a block at a time in numpy, in two stages against
+    the same cut, L^2 log+(alpha t ||u|| / L) with a relative slack of
+    _SCREEN_SLACK. The first stage sums the squared lattice distance over
+    the first _SCAN_PREFIX coordinates of u only. Every term of that sum is
+    nonnegative, so the prefix sum is a lower bound of the full one, and a
+    tick whose prefix sum already reaches the cut is no candidate. The
+    second stage sums over all coordinates for the ticks that survive. The
+    block's row sums and the scalar test's norm may differ in the last
+    bits, and the slack keeps either stage from dropping a tick the scalar
+    test would accept. Candidates are then confirmed in order by
+    _ray_condition, which alone decides the hit, so the result is the one a
+    tick-by-tick scalar loop returns.
+
+    Blocks after the first hold _SCAN_BLOCK_FLOATS prefix entries. The
+    first block, and each batch of survivors summed in full, hold
+    _SCAN_BLOCK_FLOATS entries of the whole of u, so a hit in the first
+    ticks costs little more than one full-width block.
+
+    `counters`, if given, adds the ticks screened under "ticks", those
+    passing the prefix stage under "prefix_survivors", those passing the
+    full sum under "candidates" and the hits confirmed under "confirmed"
+    (each key is set, zeros included). Ticks and prefix survivors count
+    whole blocks, candidates whole batches, also past a confirmed hit.
     """
+    tally = {} if counters is None else counters
+    for key in _SCAN_COUNTERS:
+        tally.setdefault(key, 0)
     u_norm = float(np.linalg.norm(u))
     if u_norm == 0.0:
         return None
@@ -186,25 +213,44 @@ def _scan_ray(u: np.ndarray, params: LCDParams, search_bound: float, grid_step: 
     if start >= search_bound:
         return None
     ticks = int(math.ceil((search_bound - start) / grid_step))
-    block = max(1, _SCAN_BLOCK_FLOATS // u.size)
-    for first in range(1, ticks + 1, block):
+    head = u[:_SCAN_PREFIX]
+    block = max(1, _SCAN_BLOCK_FLOATS // head.size)
+    full_block = max(1, _SCAN_BLOCK_FLOATS // u.size)
+    first, size = 1, full_block
+    while first <= ticks:
         # row 0 is tick first - 1, the clean tick before the block (start when first == 1)
-        i = np.arange(first - 1, min(first + block, ticks + 1))
+        i = np.arange(first - 1, min(first + size, ticks + 1))
+        first, size = first + size, block
         t = np.minimum(start + i * grid_step, search_bound)
-        y = t[1:, None] * u
+        cut = params.L**2 * np.log(np.maximum(params.alpha * t[1:] * u_norm / params.L, 1.0))
+        cut *= 1.0 + _SCREEN_SLACK
+        y = t[1:, None] * head
         y -= np.rint(y)
-        d2 = np.einsum("ij,ij->i", y, y)
-        rhs2 = params.L**2 * np.log(np.maximum(params.alpha * t[1:] * u_norm / params.L, 1.0))
-        for j in np.flatnonzero(d2 < rhs2 * (1.0 + _SCREEN_SLACK)):
-            prev, hit = float(t[j]), float(t[j + 1])
-            if _ray_condition(u, hit, params, u_norm):
-                lo, hi = _refine_crossing(u, prev, hit, params, u_norm)
-                return lo, hi, prev
+        survivors = np.flatnonzero(np.einsum("ij,ij->i", y, y) < cut)
+        tally["ticks"] += t.size - 1
+        tally["prefix_survivors"] += survivors.size
+        for part in range(0, survivors.size, full_block):
+            keep = survivors[part : part + full_block]
+            if u.size > head.size:
+                y = t[keep + 1, None] * u
+                y -= np.rint(y)
+                keep = keep[np.einsum("ij,ij->i", y, y) < cut[keep]]
+            tally["candidates"] += keep.size
+            for j in keep:
+                prev, hit = float(t[j]), float(t[j + 1])
+                if _ray_condition(u, hit, params, u_norm):
+                    tally["confirmed"] += 1
+                    lo, hi = _refine_crossing(u, prev, hit, params, u_norm)
+                    return lo, hi, prev
     return None
 
 
 def lcd_vector(
-    v, params: LCDParams, search_bound: float, grid_step: float | None = None
+    v,
+    params: LCDParams,
+    search_bound: float,
+    grid_step: float | None = None,
+    counters: dict | None = None,
 ) -> LCDEstimate:
     """Bracket the LCD of a single vector by exhaustive 1-d grid scan.
 
@@ -213,7 +259,8 @@ def lcd_vector(
     down to 1e-10. upper is the low end of the refined crossing bracket and
     the witness sits on its high end, so the two agree to 1e-9 as promised;
     lower is the last grid point verified clean. With no hit anywhere,
-    upper is +inf and lower is the search bound.
+    upper is +inf and lower is the search bound. `counters`, if given,
+    adds the scan's tick counts as _scan_ray describes.
     """
     v = np.asarray(v, dtype=np.float64).ravel()
     v_norm = float(np.linalg.norm(v))
@@ -227,7 +274,7 @@ def lcd_vector(
         raise ValueError("need grid_step > 0")
 
     start = params.L / (params.alpha * v_norm)
-    hit = _scan_ray(v, params, search_bound, grid_step)
+    hit = _scan_ray(v, params, search_bound, grid_step, counters)
     if hit is None:
         return LCDEstimate(
             upper=math.inf,

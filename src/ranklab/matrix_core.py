@@ -231,19 +231,26 @@ def parse_distribution(text: str) -> DistributionSpec:
 
 
 def _as_int_rows(a) -> list[list[int]]:
-    """Accept nested sequences or an integer ndarray."""
+    """Accept nested sequences of ints or an integer ndarray."""
     if isinstance(a, np.ndarray):
         if a.ndim != 2:
             raise ValueError("expected a 2-d array")
         if not np.issubdtype(a.dtype, np.integer):
             raise ValueError("expected integer entries")
         return [[int(x) for x in row] for row in a]
-    rows = [[int(x) for x in row] for row in a]
+    rows = [[_int_entry(x) for x in row] for row in a]
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged rows")
     return rows
+
+
+def _int_entry(x) -> int:
+    # int(x) would truncate 0.5 to 0 and so change the rank
+    if not isinstance(x, (int, np.integer)):
+        raise ValueError("expected integer entries")
+    return int(x)
 
 
 _INT64_MAX = (1 << 63) - 1

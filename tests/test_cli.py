@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from ranklab.bounds import RegimeParams
 from ranklab.cli import SUBCOMMANDS, ConfigError, load_config, run
-from ranklab.experiments import RankTrialConfig, estimate_deficiency
-from ranklab.matrix_core import parse_distribution, save_matrix_text
+from ranklab.experiments import RankTrialConfig, estimate_deficiency, kernel_structure_probe
+from ranklab.matrix_core import RngStream, parse_distribution, save_matrix_text
 
 ALL_SUBCOMMANDS = [
     "rank-prob",
@@ -260,6 +261,38 @@ def test_kernel_probe_runs_and_counts_dims(tmp_path):
                 "--directions", "2", "--out", str(out)]) == 0
     rows = _csv_rows(tmp_path / "kp.csv")
     assert sum(int(r["count"]) for r in rows) == 3
+
+
+@pytest.mark.parametrize(
+    "argv,regime",
+    [
+        # the benchmark's shape: the prefix stage rejects nearly every tick
+        (["--n", "100", "--k", "2", "--trials", "1", "--directions", "3"], (0.5, 0.5)),
+        # a generous condition region: every direction is flagged
+        (["--n", "30", "--k", "2", "--trials", "2", "--directions", "2", "--C-thresh", "2",
+          "--tau", "0.9", "--p", "0.9"], (0.9, 0.9)),
+        (["--n", "10", "--k", "0", "--trials", "2"], (0.5, 0.5)),  # no kernel, no scan
+    ],
+)
+def test_kernel_probe_reports_scan_counters(tmp_path, argv, regime):
+    out = tmp_path / "kp"
+    assert run(["kernel-probe", *argv, "--seed", "9", "--out", str(out)]) == 0
+    got = json.loads((tmp_path / "kp.json").read_text())["result"]["counters"]
+    opts = dict(zip(argv[::2], argv[1::2]))
+    n, k = int(opts["--n"]), int(opts["--k"])
+    direct: dict = {}
+    kernel_structure_probe(
+        parse_distribution("uniform-int(2)"), n, k, int(opts["--trials"]),
+        RegimeParams(k=max(k, 1), tau=regime[0], rho=0.3, delta=0.1, p=regime[1], n=n),
+        RngStream(9, 0), directions=int(opts.get("--directions", 4)),
+        C_thresh=float(opts.get("--C-thresh", 0.1)), counters=direct,
+    )
+    zeros = dict.fromkeys(("ticks", "prefix_survivors", "candidates", "confirmed"), 0)
+    assert got == {**zeros, **direct}
+    assert got["ticks"] >= got["prefix_survivors"] >= got["candidates"] >= got["confirmed"]
+    report = json.loads((tmp_path / "kp.json").read_text())["result"]["report"]
+    assert got["confirmed"] == report["flagged_directions"]
+    assert (got == zeros) == (k == 0)
 
 
 def test_ao_extract_round_trip(tmp_path):

@@ -482,6 +482,42 @@ def test_probe_censors_unscannable_thresholds():
         assert p.estimate.upper == math.inf
 
 
+def test_probe_reports_match_pinned_records():
+    # the LCD scan can move only the flagged, censored and comp/incomp
+    # counts of a report and the probe brackets, so pin them: the
+    # kernel-probe benchmark shape (n = 100, k = 2, 2 trials, 4 directions,
+    # the CLI's default regime) on three seeds, the configs of the probe
+    # tests above, and the planted all-ones kernel's estimates
+    pinned = json.loads((GOLDEN / "kernel_probe_reports.json").read_text())
+    regime = RegimeParams(k=2, tau=0.5, rho=0.3, delta=0.1, p=0.5, n=100)
+    for case in pinned["workload_shape"]:
+        rep = kernel_structure_probe(
+            uniform_int(2), 100, 2, 2, regime, RngStream(case["seed"], 0), directions=4
+        )
+        assert rep.to_record() == case["report"], case["seed"]
+    def reg(tau, p, n):
+        return RegimeParams(k=2, tau=tau, rho=0.3, delta=0.1, p=p, n=n)
+
+    configs = {
+        "generous": (uniform_int(2), 30, 2, 4, reg(0.9, 0.9, 30), RngStream(4, 0),
+                     {"directions": 2, "C_thresh": 2.0}),
+        "generic": (uniform_int(2), 24, 2, 12, reg(0.5, 0.4, 24), RngStream(11, 0),
+                    {"directions": 3}),
+        "reproducible": (uniform_int(1), 20, 2, 6, reg(0.5, 0.4, 20), RngStream(2, 3), {}),
+    }
+    assert set(configs) == set(pinned["test_configs"])
+    for name, (dist, n, k, trials, regime, rng, kw) in configs.items():
+        rep = kernel_structure_probe(dist, n, k, trials, regime, rng, **kw)
+        assert rep.to_record() == pinned["test_configs"][name], name
+    n = 100
+    b = np.zeros((n - 1, n))
+    for i in range(n - 1):
+        b[i, i], b[i, i + 1] = 1.0, -1.0
+    regime = RegimeParams(k=1, tau=0.9, rho=0.5, delta=0.1, p=0.9, n=n)
+    _, probes, _, _ = probe_kernel_of(b, regime, RngStream(7, 0), directions=3, C_thresh=0.025)
+    assert [p.estimate.to_record() for p in probes] == pinned["planted_all_ones_estimates"]
+
+
 def test_probe_structural_reports():
     regime = RegimeParams(k=2, tau=0.5, rho=0.3, delta=0.1, p=0.4, n=24)
     kp = kernel_structure_probe(uniform_int(1), 10, 0, 5, regime, RngStream(1, 0))

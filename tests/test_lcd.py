@@ -144,25 +144,35 @@ def test_scan_ray_hit_on_first_tick():
     assert got[2] == 8.0
 
 
+def scan_edges(u, count: int) -> list[int]:
+    # last tick of each of the first `count` blocks, sized as _scan_ray sizes
+    # them: one full-width block, then blocks of prefix width
+    first = lcd._SCAN_BLOCK_FLOATS // u.size
+    block = lcd._SCAN_BLOCK_FLOATS // min(u.size, lcd._SCAN_PREFIX)
+    return [first + b * block for b in range(count)]
+
+
 def test_scan_ray_hit_in_later_block():
     # the all-ones crossing near 9.24 lies some 12,400 ticks past the cutoff
     u, step = ones_unit(100), 1e-4
     got = lcd._scan_ray(u, P, 20.0, step)
     assert got == scan_ray_per_tick(u, P, 20.0, step)
-    assert (got[2] - 8.0) / step > 10 * (lcd._SCAN_BLOCK_FLOATS // u.size)
+    assert (got[2] - 8.0) / step > scan_edges(u, 6)[-1]
 
 
 def test_scan_ray_hit_at_block_edges():
     # steps placing the first hit on the last tick of a block, on the first
-    # tick of the next, and next to them
+    # tick of the next, and next to them; the tick count shows the block
     u = ones_unit(100)
-    block = lcd._SCAN_BLOCK_FLOATS // u.size
+    first, second = scan_edges(u, 2)
     crossing = 9.2406139637
-    for i in (block - 1, block, block + 1, 2 * block, 2 * block + 1):
+    for i in (first - 1, first, first + 1, second, second + 1):
         step = (crossing - 8.0) / (i - 0.5)
-        got = lcd._scan_ray(u, P, 20.0, step)
+        counters: dict = {}
+        got = lcd._scan_ray(u, P, 20.0, step, counters)
         assert got == scan_ray_per_tick(u, P, 20.0, step)
         assert got[2] == 8.0 + (i - 1) * step
+        assert counters["ticks"] == next(e for e in scan_edges(u, 3) if e >= i)
 
 
 def test_scan_ray_hit_on_clipped_last_tick():
@@ -221,6 +231,166 @@ def test_scan_ray_matches_per_tick_reference(
     bound = start * bound_factor
     step = (bound - start) / (ticks - clip)
     assert lcd._scan_ray(u, params, bound, step) == scan_ray_per_tick(u, params, bound, step)
+
+
+# --- the two-stage screen ------------------------------------------------------
+
+PREFIX = lcd._SCAN_PREFIX
+
+
+def scan_counts(u, params, bound, step):
+    counters: dict = {}
+    got = lcd._scan_ray(u, params, bound, step, counters)
+    assert got == scan_ray_per_tick(u, params, bound, step)
+    return got, counters
+
+
+def test_scan_ray_zero_prefix_passes_every_tick_to_the_full_sum():
+    # t * 0 is on the lattice for every tick, so only the full sum can reject
+    u = np.random.default_rng(3).normal(size=100)
+    u[:PREFIX] = 0.0
+    u *= 1.5 / np.linalg.norm(u)
+    got, c = scan_counts(u, P, 12.0, 1e-3)
+    assert got is None
+    assert c["prefix_survivors"] == c["ticks"] > 0
+    assert c["candidates"] == c["confirmed"] == 0
+
+
+def test_scan_ray_integer_prefix_on_integer_ticks():
+    # integer prefix coordinates on ticks start + i with start = 5: the
+    # prefix sum is (all but) zero on every tick and the tail decides
+    tail = np.random.default_rng(8).normal(size=40)
+    head = np.array([1.0, -2.0, 0.0, 3.0] * (PREFIX // 4))
+    u = np.concatenate([head, 0.1 * tail])
+    params = lcd.LCDParams(0.01 * 5.0 * float(np.linalg.norm(u)), 0.01)
+    assert params.L / (params.alpha * float(np.linalg.norm(u))) == pytest.approx(5.0)
+    _, c = scan_counts(u, params, 60.0, 1.0)
+    assert c["prefix_survivors"] == c["ticks"] == 55
+    assert c["candidates"] < c["ticks"]
+
+
+def test_scan_ray_hit_decided_past_the_prefix():
+    # a zero prefix and an all-ones tail: the tail alone places the hit, and
+    # it is the all-ones crossing of the tail scaled back to unit norm
+    u = np.zeros(PREFIX + 100)
+    u[PREFIX:] = ones_unit(100)
+    got, c = scan_counts(u, P, 20.0, 1e-3)
+    assert got is not None and 9.2 < got[1] < 9.3
+    assert c["confirmed"] == 1
+    assert c["prefix_survivors"] == c["ticks"]
+
+
+def test_scan_ray_prefix_hits_vetoed_by_the_tail():
+    # the prefix alone is an all-ones direction that hits right past the
+    # cutoff; the tail keeps every full sum above the cut
+    u = np.zeros(PREFIX + 100)
+    u[:PREFIX] = 1.0
+    u[PREFIX:] = ones_unit(100)
+    u /= np.linalg.norm(u)
+    head, _ = scan_counts(ones_unit(PREFIX), P, 20.0, 1e-3)
+    got, c = scan_counts(u, P, 20.0, 1e-3)
+    assert head is not None and head[2] == 8.0
+    assert got is None
+    assert c["prefix_survivors"] > c["candidates"] == 0
+
+
+def test_scan_ray_hit_at_survivor_batch_edges():
+    # with a zero prefix every tick survives the first stage, and the second
+    # block's survivors get their full sums a full-width batch at a time: hits
+    # on the last tick of a batch, on the first of the next, and on the last
+    # tick of the block and the first of the next block
+    u = np.zeros(PREFIX + 100)
+    u[PREFIX:] = ones_unit(100)
+    first, second = scan_edges(u, 2)
+    crossing = 9.2406139637
+    for i in (2 * first, 2 * first + 1, 3 * first + 1, second, second + 1):
+        step = (crossing - 8.0) / (i - 0.5)
+        got, _ = scan_counts(u, P, 20.0, step)
+        assert got[2] == 8.0 + (i - 1) * step
+
+
+@pytest.mark.parametrize("size", [PREFIX - 1, PREFIX, PREFIX + 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_scan_ray_sizes_around_the_prefix(size, seed):
+    # off-lattice and near-lattice directions one below, at and one above the
+    # prefix width; at or below it the first stage is already the full sum
+    rng = np.random.default_rng(seed)
+    for u in (rng.normal(size=size), rng.integers(-2, 3, size=size) + 0.02 * rng.normal(size=size)):
+        u *= 1.5 / np.linalg.norm(u)
+        _, c = scan_counts(u, P, 30.0, 3e-3)
+        if size <= PREFIX:
+            assert c["candidates"] == c["prefix_survivors"]
+
+
+def _slack_free_block_rejects(u, t, params, u_norm):
+    # the first stage's comparison for one tick, without _SCREEN_SLACK
+    y = np.array([t])[:, None] * u[:PREFIX]
+    y -= np.rint(y)
+    d2 = np.einsum("ij,ij->i", y, y)
+    cut = params.L**2 * np.log(np.maximum(params.alpha * np.array([t]) * u_norm / params.L, 1.0))
+    return not d2[0] < cut[0]
+
+
+def _knife_edge_L(u, t, alpha):
+    """An L at which the scalar test at tick t holds by the last bits, while
+    the slack-free block comparison rejects the tick; None if no such L is
+    within 400 ulps of the crossing."""
+    u_norm = float(np.linalg.norm(u))
+    d2 = lcd.dist_to_lattice(t * u) ** 2
+    c = alpha * t * u_norm
+    lo, hi = 1e-9 * c, c / math.sqrt(math.e)  # L^2 log(c / L) increases on (0, hi)
+    if hi * hi / 2 <= d2:
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mid * mid * math.log(c / mid) < d2 else (lo, mid)
+    L = lo
+    for _ in range(400):
+        L = float(np.nextafter(L, math.inf))
+        params = lcd.LCDParams(L, alpha)
+        if lcd._ray_condition(u, t, params, u_norm) and _slack_free_block_rejects(
+            u, t, params, u_norm
+        ):
+            return L
+    return None
+
+
+@pytest.mark.parametrize("size", [PREFIX, 100])
+def test_scan_ray_slack_keeps_last_bit_hits(size):
+    # ticks the scalar test accepts by the last bits, which a screen compared
+    # without slack would drop; past the prefix u is zero, so both stages see
+    # the same sum
+    t, alpha, found = 40.0, 0.25, 0
+    for seed in range(50):
+        u = np.zeros(size)
+        u[:PREFIX] = np.random.default_rng(seed).normal(size=PREFIX)
+        u /= np.linalg.norm(u)
+        L = _knife_edge_L(u, t, alpha)
+        if L is None:
+            continue
+        params = lcd.LCDParams(L, alpha)
+        start = L / (alpha * float(np.linalg.norm(u)))
+        got, c = scan_counts(u, params, t, 1.5 * (t - start))  # one tick, clipped to t
+        assert c["ticks"] == 1 and got is not None and got[2] == start
+        found += 1
+    assert found >= 3
+
+
+def test_scan_counters_add_up_over_calls():
+    u = ones_unit(100)
+    one, two = {}, {"ticks": 5}
+    lcd._scan_ray(u, P, 20.0, 1e-3, one)
+    lcd._scan_ray(u, P, 20.0, 1e-3, two)
+    assert set(one) == {"ticks", "prefix_survivors", "candidates", "confirmed"}
+    assert two == {**one, "ticks": one["ticks"] + 5}
+    assert one["confirmed"] == 1
+    assert one["ticks"] >= one["prefix_survivors"] >= one["candidates"] >= one["confirmed"]
+    empty: dict = {}
+    assert lcd._scan_ray(np.zeros(5), P, 20.0, 0.01, empty) is None
+    assert empty == dict.fromkeys(one, 0)
+    via_vector: dict = {}
+    lcd.lcd_vector(u, P, 20.0, 1e-3, counters=via_vector)
+    assert via_vector == one
 
 
 def test_lcd_params_validation():

@@ -162,6 +162,31 @@ def test_exact_rank_rejects_floats():
         mc.exact_rank(np.ones((2, 2)))
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.5, 0], [0, 1]],  # int() would truncate 0.5 and report rank 1
+        [[1.0, 0], [0, 1]],  # integral floats are still floats
+        [[1, 0], [0, np.float64(2.0)]],
+        [np.array([1.5, 0.0]), np.array([0.0, 1.0])],
+        [[Fraction(1, 2), 0], [0, 1]],
+        [["1", "0"], ["0", "1"]],
+    ],
+)
+def test_ranks_reject_non_integer_list_entries(rows):
+    with pytest.raises(ValueError, match="expected integer entries"):
+        mc.exact_rank(rows)
+    with pytest.raises(ValueError, match="expected integer entries"):
+        mc.modular_rank(rows, 61)
+
+
+def test_ranks_accept_numpy_integer_list_entries():
+    rows = [[np.int64(2), np.int32(4)], [np.int8(1), 2], [True, 3]]
+    assert mc.exact_rank(rows) == 2
+    assert mc.modular_rank(rows, 61) == 2
+    assert mc.exact_rank([list(r) for r in np.array([[1, 2], [2, 4]])]) == 1
+
+
 square_ints = st.integers(min_value=-5, max_value=5)
 
 
