@@ -135,7 +135,7 @@ def _hist_rows(hist, k_max):
 
 
 def _rank_config(res) -> RankTrialConfig:
-    dist = parse_distribution(res["dist"])
+    dist = res["dist-spec"]
     n = res["n"]
     if res["exhaustive"]:
         trials = enumeration_states(len(dist.merged_atoms()), n)
@@ -167,7 +167,7 @@ def _run_rank_prob(res):
 
 
 def _run_exhaustive(res):
-    ex = exhaustive_deficiency(parse_distribution(res["dist"]), res["n"])
+    ex = exhaustive_deficiency(res["dist-spec"], res["n"])
     rows = [["n", "k", "prob_num", "prob_den", "p_hat"]]
     for k in range(1, res["n"] + 1):
         p = ex.prob_at_least(k)
@@ -330,7 +330,7 @@ def _run_kernel_probe(res):
     )
     counters = dict.fromkeys(("ticks", "prefix_survivors", "candidates", "confirmed"), 0)
     rep = kernel_structure_probe(
-        parse_distribution(res["dist"]), res["n"], res["k"], res["trials"], regime,
+        res["dist-spec"], res["n"], res["k"], res["trials"], regime,
         RngStream(res["seed"], 0), directions=res["directions"], C_thresh=res["C-thresh"],
         counters=counters,
     )
@@ -386,7 +386,7 @@ def _run_bounds_eval(res):
 def _run_concentration(res):
     cs = tuple(float(x) for x in res["C-list"].split(",") if x.strip())
     rep = concentration_audit(
-        parse_distribution(res["dist"]), res["n"], res["trials"], RngStream(res["seed"], 0),
+        res["dist-spec"], res["n"], res["trials"], RngStream(res["seed"], 0),
         op_constants=cs,
     )
     rows = [["event", "threshold", "count", "freq"]]
@@ -584,6 +584,13 @@ def _resolve(name: str, args: argparse.Namespace) -> dict:
     ]
     if missing:
         raise ConfigError(f"missing required parameter(s): {', '.join(sorted(missing))}")
+    if "dist" in resolved:
+        # parsed once here, so a malformed --dist is a configuration error;
+        # the text stays under "dist" for the JSON echo
+        try:
+            resolved["dist-spec"] = parse_distribution(resolved["dist"])
+        except ValueError as e:
+            raise ConfigError(f"bad value for 'dist': {e}") from None
     return resolved
 
 
@@ -643,7 +650,7 @@ def run(argv=None) -> int:
         outputs.append(csv_path)
     summary = {
         "subcommand": args.subcommand,
-        "config": _json_safe({k: v for k, v in resolved.items() if k != "config"}),
+        "config": _json_safe({k: v for k, v in resolved.items() if k not in ("config", "dist-spec")}),
         "seed": resolved["seed"],
         "started": started,
         "elapsed_s": round(time.monotonic() - t0, 6),

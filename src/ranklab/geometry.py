@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm as _norm
-from scipy.stats import qmc
 
 __all__ = [
     "SparsityParams",
@@ -260,6 +258,8 @@ class ExtractionResult:
 
 def _ball_sample(l: int, radius: float, count: int) -> np.ndarray:
     """Quasi-random points in the l-ball of the given radius (Sobol + inverse CDF)."""
+    from scipy.stats import norm as _norm, qmc  # about 1 s to import, so only when sampling
+
     eng = qmc.Sobol(d=l + 1, scramble=False)
     u = eng.random(count)
     # first l coordinates give a direction, the last one a radius fraction

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm as _norm
-from scipy.stats import qmc
 
 from .geometry import SparsityParams, classify
 from .matrix_core import RngStream
@@ -45,6 +43,9 @@ _SCAN_BLOCK_FLOATS = 2**15  # entries of one screened block, or batch, of ray ti
 _SCAN_PREFIX = 16  # coordinates of u summed for every tick before the full sum
 _SCREEN_SLACK = 1e-9
 _SCAN_COUNTERS = ("ticks", "prefix_survivors", "candidates", "confirmed")
+# block buffers of _scan_ray's lattice offsets, allocated once per process
+_SCAN_BUF = np.empty(_SCAN_BLOCK_FLOATS)
+_SCAN_RINT = np.empty(_SCAN_BLOCK_FLOATS)
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,27 @@ def _refine_crossing(u, lo, hi, params, u_norm):
     return lo, hi
 
 
+def _lattice_sq_dists(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Squared distance from t_i * u to Z^n for each tick t_i.
+
+    The offsets t_i * u - rint(t_i * u) are written into views of _SCAN_BUF
+    and _SCAN_RINT, which every call overwrites in full, so a block allocates
+    nothing of its size. Only a block of more than _SCAN_BLOCK_FLOATS
+    entries, which needs u.size > _SCAN_BLOCK_FLOATS, gets arrays of its own.
+    """
+    shape = (t.size, u.size)
+    size = t.size * u.size
+    if size <= _SCAN_BLOCK_FLOATS:
+        y = _SCAN_BUF[:size].reshape(shape)
+        r = _SCAN_RINT[:size].reshape(shape)
+    else:
+        y, r = np.empty(shape), np.empty(shape)
+    np.multiply(t[:, None], u, out=y)
+    np.rint(y, out=r)
+    np.subtract(y, r, out=y)
+    return np.einsum("ij,ij->i", y, y)
+
+
 def _scan_ray(
     u: np.ndarray,
     params: LCDParams,
@@ -195,7 +217,14 @@ def _scan_ray(
     Blocks after the first hold _SCAN_BLOCK_FLOATS prefix entries. The
     first block, and each batch of survivors summed in full, hold
     _SCAN_BLOCK_FLOATS entries of the whole of u, so a hit in the first
-    ticks costs little more than one full-width block.
+    ticks costs little more than one full-width block. Both stages compute
+    their lattice offsets in _lattice_sq_dists, into views of the two
+    module-level buffers _SCAN_BUF and _SCAN_RINT (_SCAN_BLOCK_FLOATS floats
+    each). So no block allocates an array of its size, which the allocator
+    could hand back to the system and fault in again for the next block. A
+    survivor batch wider than the buffers, which only a u of more than
+    _SCAN_BLOCK_FLOATS coordinates makes, allocates its own arrays. The
+    buffers are shared, so _scan_ray must not run in two threads at once.
 
     `counters`, if given, adds the ticks screened under "ticks", those
     passing the prefix stage under "prefix_survivors", those passing the
@@ -224,17 +253,13 @@ def _scan_ray(
         t = np.minimum(start + i * grid_step, search_bound)
         cut = params.L**2 * np.log(np.maximum(params.alpha * t[1:] * u_norm / params.L, 1.0))
         cut *= 1.0 + _SCREEN_SLACK
-        y = t[1:, None] * head
-        y -= np.rint(y)
-        survivors = np.flatnonzero(np.einsum("ij,ij->i", y, y) < cut)
+        survivors = np.flatnonzero(_lattice_sq_dists(t[1:], head) < cut)
         tally["ticks"] += t.size - 1
         tally["prefix_survivors"] += survivors.size
         for part in range(0, survivors.size, full_block):
             keep = survivors[part : part + full_block]
             if u.size > head.size:
-                y = t[keep + 1, None] * u
-                y -= np.rint(y)
-                keep = keep[np.einsum("ij,ij->i", y, y) < cut[keep]]
+                keep = keep[_lattice_sq_dists(t[keep + 1], u) < cut[keep]]
             tally["candidates"] += keep.size
             for j in keep:
                 prev, hit = float(t[j]), float(t[j + 1])
@@ -296,6 +321,8 @@ def lcd_vector(
 
 def _ball_directions(m: int, count: int, seed: int) -> np.ndarray:
     """Quasi-random unit directions in R^m (scrambled Sobol through the normal map)."""
+    from scipy.stats import norm as _norm, qmc  # about 1 s to import, so only when drawing
+
     eng = qmc.Sobol(d=m, scramble=True, seed=seed)
     g = _norm.ppf(np.clip(eng.random(count), 1e-12, 1 - 1e-12))
     bad = np.linalg.norm(g, axis=1) == 0

@@ -221,6 +221,8 @@ def parse_distribution(text: str) -> DistributionSpec:
         if arg is not None:
             raise ValueError("rademacher takes no argument")
         return rademacher()
+    if arg is None and name in ("bernoulli", "centered-bernoulli", "uniform-int"):
+        raise ValueError(f"{name} needs an argument, as in {name}(...)")
     if name == "bernoulli":
         return bernoulli(float(arg))
     if name == "centered-bernoulli":
@@ -279,7 +281,8 @@ def sample_array(
     hot path; weighted supports go through inverse-CDF index sampling. Both
     are deterministic functions of the stream. The drawn atom indices pick
     from an int64_atoms table for integral atoms, so an atom outside int64
-    raises ValueError.
+    raises ValueError. When that table is 0..b-1, as for bernoulli(0.5), the
+    indices are the entries and are returned without the gather.
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     table = int64_atoms(dist.values) if dist.is_integral else np.array(dist.values)
@@ -289,6 +292,8 @@ def sample_array(
         cdf = np.cumsum(dist.probs)
         cdf[-1] = 1.0  # guard the top edge against fsum drift
         idx = np.searchsorted(cdf, gen.random(shape), side="right")
+    if dist.is_integral and np.array_equal(table, np.arange(table.size)):
+        return idx
     return table[idx]
 
 

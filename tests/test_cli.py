@@ -140,6 +140,35 @@ def test_atoms_outside_int64_exit_1_with_no_files(tmp_path, capsys, subcommand):
 
 
 @pytest.mark.parametrize(
+    "dist,message",
+    [
+        ("gaussian", "unrecognized distribution"),
+        ("atoms:x:0.5,1:0.5", "could not convert"),
+        ("atoms:1:0.5,2:0.6", "sum to"),
+        # 2^53 and 2^53 + 1 parse to the same float
+        ("atoms:9007199254740992:0.5,9007199254740993:0.5", "two distinct atoms"),
+        ("bernoulli", "needs an argument"),
+    ],
+)
+@pytest.mark.parametrize("subcommand", ["rank-prob", "exhaustive", "kernel-probe"])
+def test_malformed_dist_exits_2_with_no_files(tmp_path, capsys, subcommand, dist, message):
+    out = tmp_path / "d"
+    extra = ["--k", "1"] if subcommand == "kernel-probe" else []
+    assert run([subcommand, "--dist", dist, "--n", "3", *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: bad value for 'dist'" in err and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dist_text_is_echoed_as_given(tmp_path):
+    dist = "atoms:-1:0.25,0:0.5,2:0.25"
+    assert run(["exhaustive", "--dist", dist, "--n", "1", "--out", str(tmp_path / "e")]) == 0
+    assert json.loads((tmp_path / "e.json").read_text())["config"] == {
+        "dist": dist, "n": 1, "out": str(tmp_path / "e"), "seed": 1818
+    }
+
+
+@pytest.mark.parametrize(
     "subcommand,dist,n,trials",
     [
         ("rank-prob", "bernoulli(0.5)", 16, 300),  # every matrix on the float path

@@ -393,6 +393,83 @@ def test_scan_counters_add_up_over_calls():
     assert via_vector == one
 
 
+# --- the reused block buffers ---------------------------------------------------
+
+WIDE = lcd._SCAN_BLOCK_FLOATS + 1  # survivor batches wider than the buffers
+
+
+def _buffer_cases():
+    """Scans of assorted widths: off-lattice, near-lattice, and a zero prefix
+    followed by an all-ones stretch of at most 100 coordinates, which passes
+    every tick to survivor batches longer than one full block and hits."""
+    cases = []
+    for width in (1, 15, 16, 17, 100, 327, WIDE):
+        rng = np.random.default_rng(width)
+        step = 2e-3 if width < WIDE else 0.1
+        u = rng.normal(size=width)
+        cases.append((1.5 * u / np.linalg.norm(u), P, 12.0, step))
+        u = rng.integers(-2, 3, size=width) + 0.02 * rng.normal(size=width)
+        cases.append((1.5 * u / np.linalg.norm(u), P, 12.0, step))
+        if width > PREFIX:
+            tail = min(width - PREFIX, 100)
+            u = np.zeros(width)
+            u[PREFIX : PREFIX + tail] = ones_unit(tail)
+            cases.append((u, P, 12.0, step))
+    return cases
+
+
+def test_scan_ray_interleaved_widths_match_per_tick_in_either_order():
+    # each call must overwrite every buffer entry it reads, so neither the
+    # result nor the counters may depend on the scans that ran before it
+    cases = _buffer_cases()
+    expected = [scan_ray_per_tick(*case) for case in cases]
+    assert sum(e is not None for e in expected) >= 10
+    seen = {}
+    for order in (range(len(cases)), reversed(range(len(cases)))):
+        for k in order:
+            counters: dict = {}
+            assert lcd._scan_ray(*cases[k], counters) == expected[k]
+            assert seen.setdefault(k, counters) == counters
+
+
+@pytest.mark.parametrize("zero_prefix", [False, True])
+def test_scan_ray_ignores_poisoned_buffers(zero_prefix):
+    # hits on the last tick of the first block and of survivor batches, the
+    # rows a short write into the buffers would leave stale
+    u = ones_unit(100)
+    if zero_prefix:
+        u = np.zeros(PREFIX + 100)
+        u[PREFIX:] = ones_unit(100)
+    first = scan_edges(u, 1)[0]
+    crossing = 9.2406139637
+    for i in (first, 2 * first, 3 * first):
+        step = (crossing - 8.0) / (i - 0.5)
+        lcd._SCAN_BUF.fill(np.nan)
+        lcd._SCAN_RINT.fill(np.nan)
+        got = lcd._scan_ray(u, P, 20.0, step)
+        assert got == scan_ray_per_tick(u, P, 20.0, step)
+        assert got[2] == 8.0 + (i - 1) * step
+
+
+def _matrix_records():
+    u1 = np.zeros(100)
+    u1[:50] = 1 / math.sqrt(50)
+    u2 = np.zeros(100)
+    u2[50:] = 1 / math.sqrt(50)
+    return [
+        lcd.lcd_matrix(np.eye(2, 20), P, 20.0, budget=32, rng=RngStream(5)).to_record(),
+        lcd.lcd_matrix(np.vstack([u1, u2]), P, 20.0, budget=64, rng=RngStream(7)).to_record(),
+        lcd.lcd_matrix(0.5 * np.eye(2, 10), P, 40.0, budget=32, rng=RngStream(9)).to_record(),
+    ]
+
+
+def test_lcd_matrix_unchanged_by_a_wide_scan_between_calls():
+    before = _matrix_records()
+    for case in _buffer_cases()[-4:]:  # the widest scans, 327 and WIDE coordinates
+        lcd._scan_ray(*case)
+    assert _matrix_records() == before
+
+
 def test_lcd_params_validation():
     with pytest.raises(ValueError):
         lcd.LCDParams(0.0, 0.5)

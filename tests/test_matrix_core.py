@@ -117,7 +117,16 @@ def _values_then_cast(dist, shape, stream):
 
 
 @pytest.mark.parametrize(
-    "text", ["rademacher", "uniform-int(3)", "bernoulli(0.3)", "atoms:-7:0.125,2:0.5,40:0.375"]
+    "text",
+    [
+        "rademacher",
+        "uniform-int(3)",
+        "bernoulli(0.3)",
+        "atoms:-7:0.125,2:0.5,40:0.375",
+        # tables equal to 0..b-1, whose drawn indices are returned as the entries
+        "bernoulli(0.5)",
+        "atoms:0:0.25,1:0.25,2:0.5",
+    ],
 )
 def test_sample_array_int64_table_keeps_the_draws(text):
     d = mc.parse_distribution(text)
