@@ -52,7 +52,7 @@ from .experiments import (
     concentration_audit,
 )
 from .geometry import greedy_ao_extract
-from .lcd import LCDParams, lcd_vector
+from .lcd import _SCAN_COUNTERS, LCDParams, lcd_vector
 from .matrix_core import RngStream, load_real_matrix, parse_distribution
 from .rounding import random_round, sparse_round
 
@@ -328,7 +328,7 @@ def _run_kernel_probe(res):
         k=max(res["k"], 1), tau=res["tau"], rho=res["rho"], delta=res["delta"],
         p=res["p"], n=res["n"],
     )
-    counters = dict.fromkeys(("ticks", "prefix_survivors", "candidates", "confirmed"), 0)
+    counters = dict.fromkeys(_SCAN_COUNTERS, 0)
     rep = kernel_structure_probe(
         res["dist-spec"], res["n"], res["k"], res["trials"], regime,
         RngStream(res["seed"], 0), directions=res["directions"], C_thresh=res["C-thresh"],
@@ -539,6 +539,9 @@ SUBCOMMANDS: dict[str, tuple[str, list[Param], object]] = {
     ),
 }
 
+# subcommands that rank integer matrices drawn from --dist
+_RANK_SUBCOMMANDS = {"rank-prob", "exhaustive", "decay-fit"}
+
 _FORMULA_OPTIONAL = {"m", "L", "alpha", "det-sqrt", "D", "t", "M", "n", "l", "R", "rho", "r", "delta", "d", "C"}
 
 
@@ -591,6 +594,8 @@ def _resolve(name: str, args: argparse.Namespace) -> dict:
             resolved["dist-spec"] = parse_distribution(resolved["dist"])
         except ValueError as e:
             raise ConfigError(f"bad value for 'dist': {e}") from None
+        if name in _RANK_SUBCOMMANDS and not resolved["dist-spec"].is_integral:
+            raise ConfigError(f"bad value for 'dist': {name} needs integer atoms")
     return resolved
 
 

@@ -690,11 +690,23 @@ class KernelProbeReport:
 
 
 def _kernel_basis(b: np.ndarray) -> np.ndarray:
-    """Orthonormal kernel basis rows via SVD with the standard rank cutoff."""
-    u, s, vt = np.linalg.svd(b)
-    tol = (s[0] if s.size else 0.0) * max(b.shape) * np.finfo(np.float64).eps
+    """Orthonormal kernel basis rows of an m x n matrix b.
+
+    The rank is the number of singular values above the standard cutoff
+    s[0] * max(m, n) * eps, from an SVD that computes no singular vectors.
+    When b has full row rank (rank == m, the generic case for m < n), the
+    kernel is the orthogonal complement of the row space, and the last
+    n - m columns of a complete QR of b^T are an orthonormal basis of it.
+    Unpivoted Householder QR does not reveal rank, so a rank-deficient b
+    takes the trailing right singular vectors of a full SVD instead.
+    """
+    m, n = b.shape
+    s = np.linalg.svd(b, compute_uv=False)
+    tol = (s[0] if s.size else 0.0) * max(m, n) * np.finfo(np.float64).eps
     rank = int(np.count_nonzero(s > tol))
-    return vt[rank:]
+    if rank == m:
+        return np.linalg.qr(b.T, mode="complete")[0][:, m:].T
+    return np.linalg.svd(b)[2][rank:]
 
 
 def probe_kernel_of(
@@ -713,7 +725,14 @@ def probe_kernel_of(
     into [r*sqrt(n), R]; each gets an LCD bracket against the threshold
     exp(C*n/k). Thresholds past 1e6 are not scanned; those probes come
     back censored rather than pretending a verdict. `counters`, if given,
-    adds the LCD scan's tick counts (lcd_vector).
+    adds the LCD scan's tick and refinement counts (lcd_vector).
+
+    The kernel basis is orthonormal (_kernel_basis). The rank counts the
+    singular values above s[0] * max(m, n) * eps; a full-row-rank b takes
+    its basis from a complete QR of b^T, a rank-deficient one from the
+    trailing right singular vectors of a full SVD. Any orthonormal basis
+    makes each direction uniform on the kernel's unit sphere, but the
+    basis fixes which directions a given rng draws.
     """
     n = b.shape[1]
     basis = _kernel_basis(np.asarray(b, dtype=np.float64))
@@ -773,8 +792,8 @@ def kernel_structure_probe(
 ) -> KernelProbeReport:
     """Sample (n-k) x n matrices and probe their kernels; observational only.
 
-    `counters`, if given, adds the LCD scan's tick counts over every probed
-    direction (lcd_vector).
+    `counters`, if given, adds the LCD scan's tick and refinement counts
+    over every probed direction (lcd_vector).
     """
     if n > 200:
         raise ValueError("kernel probe capped at n = 200")

@@ -42,7 +42,7 @@ _MATRIX_DIM_CAP = 8
 _SCAN_BLOCK_FLOATS = 2**15  # entries of one screened block, or batch, of ray ticks
 _SCAN_PREFIX = 16  # coordinates of u summed for every tick before the full sum
 _SCREEN_SLACK = 1e-9
-_SCAN_COUNTERS = ("ticks", "prefix_survivors", "candidates", "confirmed")
+_SCAN_COUNTERS = ("ticks", "prefix_survivors", "candidates", "confirmed", "refine_steps")
 # block buffers of _scan_ray's lattice offsets, allocated once per process
 _SCAN_BUF = np.empty(_SCAN_BLOCK_FLOATS)
 _SCAN_RINT = np.empty(_SCAN_BLOCK_FLOATS)
@@ -147,15 +147,18 @@ def _ray_condition(u: np.ndarray, t: float, params: LCDParams, u_norm: float) ->
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 
 
-def _refine_crossing(u, lo, hi, params, u_norm):
+def _refine_crossing(u, lo, hi, params, u_norm, counters: dict | None = None):
     """Shrink a (false, true] bracket with golden-ratio probes until tight.
 
     Returns (lo, hi) with hi - lo <= _REFINE_TOL, condition false at lo
-    (or lo is the cutoff start) and true at hi.
+    (or lo is the cutoff start) and true at hi. `counters`, if given, adds
+    the number of probes under "refine_steps".
     """
     for _ in range(200):
         if hi - lo <= _REFINE_TOL:
             break
+        if counters is not None:
+            counters["refine_steps"] = counters.get("refine_steps", 0) + 1
         mid = hi - _INV_GOLDEN * (hi - lo)
         if _ray_condition(u, mid, params, u_norm):
             hi = mid
@@ -228,9 +231,11 @@ def _scan_ray(
 
     `counters`, if given, adds the ticks screened under "ticks", those
     passing the prefix stage under "prefix_survivors", those passing the
-    full sum under "candidates" and the hits confirmed under "confirmed"
-    (each key is set, zeros included). Ticks and prefix survivors count
-    whole blocks, candidates whole batches, also past a confirmed hit.
+    full sum under "candidates", the hits confirmed under "confirmed" and
+    the golden-section probes that refine a confirmed hit under
+    "refine_steps" (each key is set, zeros included). Ticks and prefix
+    survivors count whole blocks, candidates whole batches, also past a
+    confirmed hit.
     """
     tally = {} if counters is None else counters
     for key in _SCAN_COUNTERS:
@@ -265,7 +270,7 @@ def _scan_ray(
                 prev, hit = float(t[j]), float(t[j + 1])
                 if _ray_condition(u, hit, params, u_norm):
                     tally["confirmed"] += 1
-                    lo, hi = _refine_crossing(u, prev, hit, params, u_norm)
+                    lo, hi = _refine_crossing(u, prev, hit, params, u_norm, tally)
                     return lo, hi, prev
     return None
 

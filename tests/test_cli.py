@@ -160,6 +160,23 @@ def test_malformed_dist_exits_2_with_no_files(tmp_path, capsys, subcommand, dist
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("subcommand", ["rank-prob", "decay-fit", "exhaustive"])
+def test_non_integer_atoms_exit_2_with_no_files(tmp_path, capsys, subcommand):
+    out = tmp_path / "f"
+    assert run([subcommand, "--dist", "atoms:0.5:0.5,1.5:0.5", "--n", "3",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: bad value for 'dist'" in err and "integer atoms" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kernel_probe_accepts_non_integer_atoms(tmp_path):
+    out = tmp_path / "kp"
+    assert run(["kernel-probe", "--dist", "atoms:0.5:0.5,1.5:0.5", "--n", "12", "--k", "2",
+                "--trials", "2", "--directions", "1", "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "kp.json").read_text())["result"]["report"]["trials"] == 2
+
+
 def test_dist_text_is_echoed_as_given(tmp_path):
     dist = "atoms:-1:0.25,0:0.5,2:0.25"
     assert run(["exhaustive", "--dist", dist, "--n", "1", "--out", str(tmp_path / "e")]) == 0
@@ -316,12 +333,16 @@ def test_kernel_probe_reports_scan_counters(tmp_path, argv, regime):
         RngStream(9, 0), directions=int(opts.get("--directions", 4)),
         C_thresh=float(opts.get("--C-thresh", 0.1)), counters=direct,
     )
-    zeros = dict.fromkeys(("ticks", "prefix_survivors", "candidates", "confirmed"), 0)
+    zeros = dict.fromkeys(
+        ("ticks", "prefix_survivors", "candidates", "confirmed", "refine_steps"), 0
+    )
     assert got == {**zeros, **direct}
     assert got["ticks"] >= got["prefix_survivors"] >= got["candidates"] >= got["confirmed"]
     report = json.loads((tmp_path / "kp.json").read_text())["result"]["report"]
     assert got["confirmed"] == report["flagged_directions"]
     assert (got == zeros) == (k == 0)
+    # only a confirmed hit is refined, and every generous direction is one
+    assert (got["refine_steps"] > 0) == (got["confirmed"] > 0) == (regime == (0.9, 0.9))
 
 
 def test_ao_extract_round_trip(tmp_path):

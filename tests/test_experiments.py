@@ -9,11 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ranklab import experiments
 from ranklab.bounds import RegimeParams
 from ranklab.experiments import (
     DeficiencyHistogram,
     QGTConfig,
     RankTrialConfig,
+    _kernel_basis,
     centered_integer_dist,
     concentration_audit,
     decay_shape_fit,
@@ -33,6 +35,7 @@ from ranklab.matrix_core import (
     exact_rank,
     parse_distribution,
     rademacher,
+    sample_array,
     uniform_int,
 )
 
@@ -425,6 +428,84 @@ def test_adversarial_rank_is_exact_for_prime_product_entries():
 
 
 # --- kernel probe --------------------------------------------------------------------
+
+
+def _check_kernel_basis(b, rank):
+    basis = _kernel_basis(b)
+    n = b.shape[1]
+    assert basis.shape == (n - rank, n)
+    np.testing.assert_allclose(basis @ basis.T, np.eye(n - rank), atol=1e-10)
+    assert np.linalg.norm(b @ basis.T) <= 1e-10
+    return basis
+
+
+def _row_sum_planted(n):
+    b = np.random.default_rng(n).integers(-2, 3, size=(n - 2, n)).astype(np.float64)
+    b[-1] = b[0] + b[1]
+    return b
+
+
+@pytest.mark.parametrize(
+    "b,rank",
+    [
+        (_row_sum_planted(12), 9),  # a row that is the sum of two others
+        (np.zeros((4, 7)), 0),
+        (np.zeros((1, 7)), 0),
+        (np.arange(1.0, 8.0)[None, :], 1),  # 1 x n, full row rank
+        (np.eye(6), 6),  # square and invertible: no kernel
+    ],
+)
+def test_kernel_basis_edge_inputs(b, rank):
+    # the rank-deficient ones need the SVD branch: a QR of b^T would return
+    # n - m rows, fewer than the kernel's n - rank
+    assert exact_rank(b.astype(np.int64)) == rank
+    _check_kernel_basis(b, rank)
+
+
+@st.composite
+def kernel_matrices(draw):
+    n = draw(st.integers(2, 30))
+    m = draw(st.integers(1, n - 1))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    b = np.array(rows, dtype=np.int64)
+    # sometimes replace rows by sums of earlier ones, planting dependent rows
+    for _ in range(draw(st.integers(0, 3)) if m > 1 else 0):
+        i = draw(st.integers(1, m - 1))
+        b[i] = b[draw(st.integers(0, i - 1))] + b[draw(st.integers(0, i - 1))]
+    return b
+
+
+@given(kernel_matrices())
+@settings(max_examples=150, deadline=None)
+def test_kernel_basis_spans_the_svd_kernel(b):
+    bf = b.astype(np.float64)
+    rank = exact_rank(b)
+    basis = _check_kernel_basis(bf, rank)
+    ref = np.linalg.svd(bf)[2][rank:]
+    np.testing.assert_allclose(basis.T @ basis, ref.T @ ref, atol=1e-10)
+
+
+def test_probe_counts_planted_rank_deficient_trial(monkeypatch):
+    # trial 0's last row is the sum of its first two, so its kernel has
+    # dimension k + 1 and the trial is degenerate
+    planted = []
+
+    def sample(dist, shape, gen):
+        arr = sample_array(dist, shape, gen)
+        if not planted:
+            arr[-1] = arr[0] + arr[1]
+            planted.append(arr)
+        return arr
+
+    monkeypatch.setattr(experiments, "sample_array", sample)
+    regime = RegimeParams(k=2, tau=0.5, rho=0.3, delta=0.1, p=0.4, n=24)
+    rep = kernel_structure_probe(
+        uniform_int(2), 24, 2, 4, regime, RngStream(11, 0), directions=2
+    )
+    assert rep.dim_counts == {3: 1, 2: 3}
+    assert rep.degenerate_trials == 1
+    assert rep.directions_tested == 8
 
 
 def test_probe_flags_planted_all_ones_kernel():

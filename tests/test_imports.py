@@ -2,7 +2,8 @@
 
 It costs about 1 s and 60 MB per process, and no benchmark workload needs it,
 so importing ranklab.cli and running the rank, exhaustive and kernel-probe
-subcommands must leave it unloaded.
+subcommands must leave it unloaded. scipy.linalg (about 0.3 s) must stay
+unloaded too: the kernel probe's linear algebra is numpy.linalg's.
 """
 
 import json
@@ -31,7 +32,8 @@ import json, sys
 import ranklab.cli
 codes = [ranklab.cli.run(argv + ["--out", f"{sys.argv[1]}/run{i}"])
          for i, argv in enumerate(json.loads(sys.argv[2]))]
-print(json.dumps({"codes": codes, "stats": "scipy.stats" in sys.modules}))
+print(json.dumps({"codes": codes, "stats": "scipy.stats" in sys.modules,
+                  "linalg": "scipy.linalg" in sys.modules}))
 """
 
 
@@ -47,7 +49,7 @@ def _fresh_interpreter(code: str, *args: str) -> str:
 
 def test_benchmark_setup_calls_leave_scipy_stats_unloaded(tmp_path):
     got = json.loads(_fresh_interpreter(_CHILD, str(tmp_path), json.dumps(SETUP_ARGVS)))
-    assert got == {"codes": [0] * len(SETUP_ARGVS), "stats": False}
+    assert got == {"codes": [0] * len(SETUP_ARGVS), "stats": False, "linalg": False}
 
 
 def test_sobol_draws_unchanged_by_the_deferred_import():

@@ -381,9 +381,11 @@ def test_scan_counters_add_up_over_calls():
     one, two = {}, {"ticks": 5}
     lcd._scan_ray(u, P, 20.0, 1e-3, one)
     lcd._scan_ray(u, P, 20.0, 1e-3, two)
-    assert set(one) == {"ticks", "prefix_survivors", "candidates", "confirmed"}
+    assert set(one) == {"ticks", "prefix_survivors", "candidates", "confirmed", "refine_steps"}
     assert two == {**one, "ticks": one["ticks"] + 5}
     assert one["confirmed"] == 1
+    # golden-section probes shrink the grid step 1e-3 to 1e-10 by factors in [1/phi, 1/phi^2]
+    assert 17 <= one["refine_steps"] <= 34
     assert one["ticks"] >= one["prefix_survivors"] >= one["candidates"] >= one["confirmed"]
     empty: dict = {}
     assert lcd._scan_ray(np.zeros(5), P, 20.0, 0.01, empty) is None
