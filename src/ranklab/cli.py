@@ -328,7 +328,7 @@ def _run_kernel_probe(res):
         k=max(res["k"], 1), tau=res["tau"], rho=res["rho"], delta=res["delta"],
         p=res["p"], n=res["n"],
     )
-    counters = dict.fromkeys(_SCAN_COUNTERS, 0)
+    counters = dict.fromkeys((*_SCAN_COUNTERS, "basis_svd"), 0)
     rep = kernel_structure_probe(
         res["dist-spec"], res["n"], res["k"], res["trials"], regime,
         RngStream(res["seed"], 0), directions=res["directions"], C_thresh=res["C-thresh"],

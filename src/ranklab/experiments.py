@@ -689,24 +689,45 @@ class KernelProbeReport:
         }
 
 
-def _kernel_basis(b: np.ndarray) -> np.ndarray:
+def _kernel_basis(b: np.ndarray, counters: dict | None = None) -> np.ndarray:
     """Orthonormal kernel basis rows of an m x n matrix b.
 
     The rank is the number of singular values above the standard cutoff
-    s[0] * max(m, n) * eps, from an SVD that computes no singular vectors.
-    When b has full row rank (rank == m, the generic case for m < n), the
-    kernel is the orthogonal complement of the row space, and the last
-    n - m columns of a complete QR of b^T are an orthonormal basis of it.
-    Unpivoted Householder QR does not reveal rank, so a rank-deficient b
-    takes the trailing right singular vectors of a full SVD instead.
+    s[0] * max(m, n) * eps. When m < n, the leading block B1 = b[:, :m] is
+    inverted once, and sigma_min(b) >= sigma_min(B1) >= 1 / ||B1^-1||_F
+    while the cutoff is at most ||b||_F * n * eps. So when 1 / ||B1^-1||_F
+    clears 16 times that bound (the margin absorbs rounding in the inverse
+    and in LAPACK's singular values), b has rank m, and the orthonormalized
+    columns of [-B1^-1 B2; I] span its kernel. Rounding in B1^-1 leaves
+    them off the kernel by about eps * cond(B1); one correction step,
+    Q[:m] -= B1^-1 (b Q), removes that, and the basis is returned only if
+    ||b Q||_F is then within the same bound. Every other b (m >= n, B1
+    singular, a failed certificate or residual, non-finite values) takes
+    the trailing right singular vectors of one full SVD, at the cutoff.
+
+    `counters`, if given, adds the calls that took the SVD under
+    "basis_svd" (the key is set, zero included).
     """
+    tally = {} if counters is None else counters
+    tally.setdefault("basis_svd", 0)
     m, n = b.shape
-    s = np.linalg.svd(b, compute_uv=False)
-    tol = (s[0] if s.size else 0.0) * max(m, n) * np.finfo(np.float64).eps
-    rank = int(np.count_nonzero(s > tol))
-    if rank == m:
-        return np.linalg.qr(b.T, mode="complete")[0][:, m:].T
-    return np.linalg.svd(b)[2][rank:]
+    eps = np.finfo(np.float64).eps
+    if m < n:
+        bound = 16.0 * float(np.linalg.norm(b)) * n * eps
+        try:
+            inv = np.linalg.inv(b[:, :m])
+        except np.linalg.LinAlgError:
+            inv = None
+        if inv is not None and np.linalg.norm(inv) * bound < 1.0:
+            q = np.linalg.qr(np.vstack((-(inv @ b[:, m:]), np.eye(n - m))))[0]
+            q[:m] -= inv @ (b @ q)
+            q = np.linalg.qr(q)[0]
+            if np.linalg.norm(b @ q) <= bound:
+                return q.T
+    tally["basis_svd"] += 1
+    _, s, vt = np.linalg.svd(b)
+    tol = (s[0] if s.size else 0.0) * max(m, n) * eps
+    return vt[int(np.count_nonzero(s > tol)):]
 
 
 def probe_kernel_of(
@@ -725,17 +746,19 @@ def probe_kernel_of(
     into [r*sqrt(n), R]; each gets an LCD bracket against the threshold
     exp(C*n/k). Thresholds past 1e6 are not scanned; those probes come
     back censored rather than pretending a verdict. `counters`, if given,
-    adds the LCD scan's tick and refinement counts (lcd_vector).
+    adds the LCD scan's tick and refinement counts (lcd_vector) and
+    whether the kernel basis took the SVD ("basis_svd", _kernel_basis).
 
     The kernel basis is orthonormal (_kernel_basis). The rank counts the
-    singular values above s[0] * max(m, n) * eps; a full-row-rank b takes
-    its basis from a complete QR of b^T, a rank-deficient one from the
-    trailing right singular vectors of a full SVD. Any orthonormal basis
-    makes each direction uniform on the kernel's unit sphere, but the
-    basis fixes which directions a given rng draws.
+    singular values above s[0] * max(m, n) * eps; a b whose leading m x m
+    block certifies full row rank through its inverse takes its basis from
+    that inverse, any other b from the trailing right singular vectors of
+    one full SVD. Any orthonormal basis makes each direction uniform on the
+    kernel's unit sphere, but the basis fixes which directions a given rng
+    draws.
     """
     n = b.shape[1]
-    basis = _kernel_basis(np.asarray(b, dtype=np.float64))
+    basis = _kernel_basis(np.asarray(b, dtype=np.float64), counters)
     dim = basis.shape[0]
     if dim == 0:
         return 0, [], 0, 0
@@ -793,12 +816,17 @@ def kernel_structure_probe(
     """Sample (n-k) x n matrices and probe their kernels; observational only.
 
     `counters`, if given, adds the LCD scan's tick and refinement counts
-    over every probed direction (lcd_vector).
+    over every probed direction (lcd_vector) and the trials whose kernel
+    basis took the SVD under "basis_svd" (_kernel_basis).
     """
     if n > 200:
         raise ValueError("kernel probe capped at n = 200")
     if k < 0 or k >= n:
         raise ValueError("need 0 <= k < n")
+    if trials < 1:
+        raise ValueError("need trials >= 1")
+    if directions < 1:
+        raise ValueError("need directions >= 1")
     if k == 0:
         return KernelProbeReport(
             n=n, k=k, trials=0, note="no kernel: square matrices are generically invertible"

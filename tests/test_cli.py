@@ -310,6 +310,19 @@ def test_kernel_probe_runs_and_counts_dims(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flag,value,k", [("trials", "-1", "1"), ("trials", "0", "0"), ("directions", "-2", "1"),
+                     ("directions", "0", "1")],
+)
+def test_kernel_probe_rejects_counts_below_one(tmp_path, capsys, flag, value, k):
+    out = tmp_path / "kp"
+    counts = {"trials": "1", "directions": "1", flag: value}
+    assert run(["kernel-probe", "--n", "4", "--k", k, "--trials", counts["trials"],
+                "--directions", counts["directions"], "--out", str(out)]) == 1
+    assert f"need {flag} >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv,regime",
     [
         # the benchmark's shape: the prefix stage rejects nearly every tick
@@ -334,9 +347,10 @@ def test_kernel_probe_reports_scan_counters(tmp_path, argv, regime):
         C_thresh=float(opts.get("--C-thresh", 0.1)), counters=direct,
     )
     zeros = dict.fromkeys(
-        ("ticks", "prefix_survivors", "candidates", "confirmed", "refine_steps"), 0
+        ("ticks", "prefix_survivors", "candidates", "confirmed", "refine_steps", "basis_svd"), 0
     )
     assert got == {**zeros, **direct}
+    assert got["basis_svd"] == 0  # every generic trial certifies its leading block
     assert got["ticks"] >= got["prefix_survivors"] >= got["candidates"] >= got["confirmed"]
     report = json.loads((tmp_path / "kp.json").read_text())["result"]["report"]
     assert got["confirmed"] == report["flagged_directions"]

@@ -463,16 +463,19 @@ def test_kernel_basis_edge_inputs(b, rank):
 
 
 @st.composite
-def kernel_matrices(draw):
+def kernel_matrices(draw, noise=False):
     n = draw(st.integers(2, 30))
     m = draw(st.integers(1, n - 1))
     rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
                          min_size=m, max_size=m))
-    b = np.array(rows, dtype=np.int64)
-    # sometimes replace rows by sums of earlier ones, planting dependent rows
+    b = np.array(rows, dtype=np.float64 if noise else np.int64)
+    # sometimes replace rows by sums of earlier ones, planting dependent rows;
+    # with noise, the planted rows are only nearly dependent
     for _ in range(draw(st.integers(0, 3)) if m > 1 else 0):
         i = draw(st.integers(1, m - 1))
         b[i] = b[draw(st.integers(0, i - 1))] + b[draw(st.integers(0, i - 1))]
+        if noise:
+            b[i] += 1e-13 * np.array(draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
     return b
 
 
@@ -483,6 +486,71 @@ def test_kernel_basis_spans_the_svd_kernel(b):
     rank = exact_rank(b)
     basis = _check_kernel_basis(bf, rank)
     ref = np.linalg.svd(bf)[2][rank:]
+    np.testing.assert_allclose(basis.T @ basis, ref.T @ ref, atol=1e-10)
+
+
+@given(kernel_matrices(noise=True))
+@settings(max_examples=150, deadline=None)
+def test_kernel_basis_rank_is_the_svd_rank_on_nearly_dependent_rows(b):
+    # 1e-13 off a planted sum puts singular values on both sides of the
+    # cutoff; the inverse's certificate must never claim a rank the SVD denies
+    s = np.linalg.svd(b)[1]
+    rank = int(np.count_nonzero(s > s[0] * max(b.shape) * np.finfo(np.float64).eps))
+    _check_kernel_basis(b, rank)
+
+
+def _leading_block_case(delta, m=5, n=8):
+    # B1 = diag(1, ..., 1, delta) and B2 = 0: sigma_min(b) = delta, s[0] = 1
+    b = np.zeros((m, n))
+    b[np.arange(m), np.arange(m)] = 1.0
+    b[-1, m - 1] = delta
+    return b
+
+
+_CUT = 8 * np.finfo(np.float64).eps  # s[0] * max(m, n) * eps of _leading_block_case
+
+
+def _ill_conditioned_leading_block(sigma):
+    # b is well conditioned and B1 has sigma_min = sigma, so the columns of
+    # [-B1^-1 B2; I] miss the kernel by about eps / sigma before the
+    # correction step
+    g = np.random.default_rng(3)
+    u = np.linalg.qr(g.standard_normal((30, 30)))[0]
+    v = np.linalg.qr(g.standard_normal((30, 30)))[0]
+    s = np.linspace(1.0, 3.0, 30)
+    s[-1] = sigma
+    return np.hstack(((u * s) @ v.T, g.standard_normal((30, 2))))
+
+
+def _zero_first_column():
+    b = np.random.default_rng(5).integers(-2, 3, size=(6, 9)).astype(np.float64)
+    b[:, 0] = 0.0
+    return b
+
+
+@pytest.mark.parametrize(
+    "b,rank,svd",
+    [
+        (np.random.default_rng(1).integers(0, 3, size=(98, 100)).astype(np.float64), 98, 0),
+        (_ill_conditioned_leading_block(1e-8), 30, 0),
+        # certified, but the corrected basis still misses the residual bound
+        (_ill_conditioned_leading_block(1e-11), 30, 1),
+        (_zero_first_column(), 6, 1),  # B1 singular, b of full row rank
+        (_leading_block_case(4 * _CUT), 5, 1),  # above the cutoff, inside the margin
+        (_leading_block_case(_CUT / 2), 4, 1),  # below the cutoff
+        (np.random.default_rng(2).integers(-2, 3, size=(7, 7)).astype(np.float64), 7, 1),
+        (np.random.default_rng(4).integers(-2, 3, size=(9, 4)).astype(np.float64), 4, 1),
+    ],
+    ids=["generic", "ill-conditioned-B1", "near-singular-B1", "singular-B1", "inside-margin",
+         "below-cutoff", "square", "tall"],
+)
+def test_kernel_basis_takes_the_svd_only_without_a_certificate(b, rank, svd):
+    counters: dict = {}
+    basis = _kernel_basis(b, counters)
+    assert counters == {"basis_svd": svd}
+    np.testing.assert_allclose(basis @ basis.T, np.eye(b.shape[1] - rank), atol=1e-10)
+    assert np.linalg.norm(b @ basis.T) <= 1e-13 * np.linalg.norm(b)
+    ref = np.linalg.svd(b)[2][rank:]
     np.testing.assert_allclose(basis.T @ basis, ref.T @ ref, atol=1e-10)
 
 
