@@ -324,8 +324,10 @@ def _run_qgt_adversarial(res):
 
 
 def _run_kernel_probe(res):
+    if res["k"] < 1:  # no kernel to probe, so --trials would go unused
+        raise ConfigError(f"bad value for 'k': {res['k']} (kernel-probe needs k >= 1)")
     regime = RegimeParams(
-        k=max(res["k"], 1), tau=res["tau"], rho=res["rho"], delta=res["delta"],
+        k=res["k"], tau=res["tau"], rho=res["rho"], delta=res["delta"],
         p=res["p"], n=res["n"],
     )
     counters = dict.fromkeys((*_SCAN_COUNTERS, "basis_svd"), 0)
@@ -601,9 +603,14 @@ def _resolve(name: str, args: argparse.Namespace) -> dict:
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _csv_text(rows) -> str:
@@ -648,18 +655,16 @@ def run(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     out = resolved["out"]
-    outputs = []
+    files = {}
     if rows is not None:
-        csv_path = f"{out}.csv"
-        _atomic_write(csv_path, _csv_text(rows))
-        outputs.append(csv_path)
+        files[f"{out}.csv"] = _csv_text(rows)
     summary = {
         "subcommand": args.subcommand,
         "config": _json_safe({k: v for k, v in resolved.items() if k not in ("config", "dist-spec")}),
         "seed": resolved["seed"],
         "started": started,
         "elapsed_s": round(time.monotonic() - t0, 6),
-        "outputs": outputs + [f"{out}.json"],
+        "outputs": [*files, f"{out}.json"],
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -668,7 +673,17 @@ def run(argv=None) -> int:
         },
         "result": _json_safe(payload),
     }
-    _atomic_write(f"{out}.json", json.dumps(summary, indent=1, sort_keys=True) + "\n")
+    files[f"{out}.json"] = json.dumps(summary, indent=1, sort_keys=True) + "\n"
+    written = []
+    try:
+        for path, text in files.items():
+            _atomic_write(path, text)
+            written.append(path)
+    except OSError as e:  # a missing or unwritable output directory
+        for path in written:  # a CSV without its JSON is no result
+            os.remove(path)
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -821,16 +821,12 @@ def kernel_structure_probe(
     """
     if n > 200:
         raise ValueError("kernel probe capped at n = 200")
-    if k < 0 or k >= n:
-        raise ValueError("need 0 <= k < n")
+    if k < 1 or k >= n:  # k = 0 would probe no kernel and drop every trial
+        raise ValueError("need 1 <= k < n")
     if trials < 1:
         raise ValueError("need trials >= 1")
     if directions < 1:
         raise ValueError("need directions >= 1")
-    if k == 0:
-        return KernelProbeReport(
-            n=n, k=k, trials=0, note="no kernel: square matrices are generically invertible"
-        )
     dim_counts: dict[int, int] = {}
     degenerate = comp = incomp = tested = flagged = flagged_trials = censored = 0
     for t in range(trials):

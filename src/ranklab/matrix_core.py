@@ -414,18 +414,35 @@ def random_prime(rng: RngStream | np.random.Generator, bits: int = 61) -> int:
 
 
 # Float64 Bareiss is exact while every intermediate piv*x - lead*y stays
-# below 2^53; both products are minors, so 2*H^2 < 2^53 suffices.
+# below 2^53; both products are minors, so 2*H^2 < 2^53 suffices. Step c
+# (from 0) multiplies minors of size <= c + 1 only, so by the same argument
+# it is exact in float32, which holds every integer below 2^24, while
+# 2*H_(c+1)^2 < 2^24, with H_k a bound on the minors of size <= k.
 _FLOAT_EXACT_LOG_BOUND = 26 * math.log(2)
+_FLOAT32_EXACT_LOG_BOUND = 11.5 * math.log(2)
 
 
-def _eliminate(a: np.ndarray, p: int | None) -> np.ndarray:
+def _eliminate(
+    a: np.ndarray,
+    p: int | None,
+    stop: int | None = None,
+    rank: np.ndarray | None = None,
+    prev: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Ranks of a stack laid out (col, row, matrix), eliminated in place.
 
     With a prime p the entries are int64 residues and the arithmetic is
     GF(p); p < 2^31 keeps piv*x - lead*y inside int64. With p None the
-    entries are float64 integers and the update is fraction-free (Bareiss):
-    each step divides by the previous pivot, so every entry stays a minor of
-    the input and every division is exact.
+    entries are float32 or float64 integers and the update is fraction-free
+    (Bareiss): each step divides by the previous pivot, so every entry stays
+    a minor of the input and every division is exact, as long as the dtype
+    holds every product (see _FLOAT_EXACT_LOG_BOUND).
+
+    Only the columns before `stop` (all by default) are eliminated; every
+    column after them is still updated. Returns the ranks and the previous
+    pivots (Bareiss's divisors) so far. Passing them back as `rank` and
+    `prev` with the trailing columns a[stop:], in the same or a wider dtype,
+    resumes the elimination where it stopped; `rank` is updated in place.
 
     A matrix's pivot is its first row at or below row rank_m (its rank so
     far) with a nonzero entry in the column. The pivot row is moved up to
@@ -447,14 +464,15 @@ def _eliminate(a: np.ndarray, p: int | None) -> np.ndarray:
     rows are moved through a flat (col, row * nmat + matrix) view of it.
     """
     ncol, nrow, nmat = a.shape
-    rank = np.zeros(nmat, dtype=np.int64)
-    prev = np.ones(nmat, dtype=a.dtype)
+    if rank is None:
+        rank = np.zeros(nmat, dtype=np.int64)
+    prev = np.ones(nmat, dtype=a.dtype) if prev is None else prev.astype(a.dtype)
     mat_ix = np.arange(nmat)
     one = a.dtype.type(1)
     flat = a.reshape(ncol, nrow * nmat)
     first = np.arange(nrow, 0, -1)[:, None]  # row i scores nrow - i
     outer = np.empty(a[1:].size, dtype=a.dtype)
-    for col in range(ncol):
+    for col in range(ncol if stop is None else stop):
         lo = int(rank.min(initial=nrow))  # initial: a batch of no matrices
         lead = a[col, lo:]
         # the first nonzero lead scores highest and 0 means no pivot;
@@ -483,7 +501,7 @@ def _eliminate(a: np.ndarray, p: int | None) -> np.ndarray:
         else:
             rest %= p
         rank += has
-    return rank
+    return rank, prev
 
 
 def _batch_rank_mod(mats: np.ndarray, p: int) -> np.ndarray:
@@ -492,20 +510,47 @@ def _batch_rank_mod(mats: np.ndarray, p: int) -> np.ndarray:
         raise ValueError("batched kernel needs a prime below 2^31")
     a = np.asarray(mats).transpose(2, 1, 0).astype(np.int64, order="C")
     a %= p
-    return _eliminate(a, p)
+    return _eliminate(a, p)[0]
 
 
-def _batch_rank_float(mats: np.ndarray) -> np.ndarray:
-    """Exact ranks of a (matrix, row, col) stack by float64 Bareiss; only
-    valid when every minor's bound is below _FLOAT_EXACT_LOG_BOUND."""
-    return _eliminate(np.asarray(mats).transpose(2, 1, 0).astype(np.float64, order="C"), None)
+def _batch_rank_float(mats: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Exact ranks of a (matrix, row, col) stack with entries in [lo, hi] by
+    Bareiss elimination; only valid when every minor's bound is below
+    _FLOAT_EXACT_LOG_BOUND.
+
+    The first s = _float32_depth(lo, hi, side) columns are eliminated in
+    float32, or every column when s reaches side = min(rows, cols), since
+    no minor is larger. The trailing columns a[s:] are then widened to
+    float64 and eliminated from the ranks and pivots reached so far. With
+    s = 0 (an entry beyond +-2896) the stack is float64 throughout.
+    """
+    a = np.asarray(mats).transpose(2, 1, 0)
+    ncol, nrow, _ = a.shape
+    side = min(nrow, ncol)
+    depth = _float32_depth(lo, hi, side)
+    stop = ncol if depth == side else depth
+    rank = prev = None
+    if stop:
+        a = a.astype(np.float32, order="C")
+        rank, prev = _eliminate(a, None, stop)
+        a = a[stop:]
+    return _eliminate(a.astype(np.float64, order="C"), None, rank=rank, prev=prev)[0]
 
 
 def _hadamard_log_bound(max_abs_entry: float, side: int) -> float:
-    """log of the Hadamard bound on any minor: (max|a| * sqrt(side))^side."""
+    """log of the Hadamard bound (max|a| * sqrt(side))^side on a side x side
+    minor; for max|a| >= 1 it bounds every smaller minor too."""
     if max_abs_entry <= 0:
         return 0.0
     return side * (math.log(max_abs_entry) + 0.5 * math.log(side))
+
+
+def _shift_log_term(c: float, d: float, k: int) -> float:
+    """log of sqrt(k+1) (c^2 + k d^2)^(k/2), a bound on every k x k minor of
+    a matrix with entries in [c - d, c + d] (see _shift_log_bound); -inf
+    when c = d = 0, where every such minor is 0."""
+    g = c * c + k * d * d
+    return 0.5 * math.log(k + 1) + 0.5 * k * math.log(g) if g > 0 else -math.inf
 
 
 def _shift_log_bound(lo: float, hi: float, side: int) -> float:
@@ -521,12 +566,19 @@ def _shift_log_bound(lo: float, hi: float, side: int) -> float:
     k = 0 is the empty minor, 1.
     """
     c, d = (lo + hi) / 2, (hi - lo) / 2
-    best = 0.0
+    return max([0.0] + [_shift_log_term(c, d, k) for k in range(1, side + 1)])
+
+
+def _float32_depth(lo: int, hi: int, side: int) -> int:
+    """Largest k <= side such that every minor of size <= k of a matrix with
+    entries in [lo, hi] is below exp(_FLOAT32_EXACT_LOG_BOUND) = 2^11.5, by
+    the smaller of the Hadamard and shift bounds at each size."""
+    top = float(max(-lo, hi))
+    c, d = (lo + hi) / 2, (hi - lo) / 2
     for k in range(1, side + 1):
-        g = c * c + k * d * d
-        if g > 0:  # g = 0 only for an all-zero stack, whose minors are 0
-            best = max(best, 0.5 * math.log(k + 1) + 0.5 * k * math.log(g))
-    return best
+        if min(_hadamard_log_bound(top, k), _shift_log_term(c, d, k)) >= _FLOAT32_EXACT_LOG_BOUND:
+            return k - 1
+    return side
 
 
 def _column_log_bounds(mats: np.ndarray) -> np.ndarray:
@@ -550,21 +602,18 @@ def _column_log_bounds(mats: np.ndarray) -> np.ndarray:
     return 0.5 * math.log(min(nrow, ncol) + 1) + 0.5 * np.log(np.maximum(col_sq, 1.0)).sum(axis=1)
 
 
-def _minor_log_bounds(mats: np.ndarray, cut: float) -> np.ndarray:
-    """Per matrix of an int64 (matrix, row, col) stack, log H with H a bound
-    on |every minor| of the matrix, empty minor included.
+def _minor_log_bounds(mats: np.ndarray, lo: int, hi: int, cut: float) -> np.ndarray:
+    """Per matrix of an int64 (matrix, row, col) stack with entries in
+    [lo, hi], log H with H a bound on |every minor| of the matrix, empty
+    minor included.
 
-    The stack's Hadamard bound needs its min and max. Only when it is >= cut
-    does the stack's shift bound follow, and only when that is >= cut too
-    does each matrix get its own column bound. The smallest bound computed
-    is returned.
+    The stack's Hadamard bound comes first. Only when it is >= cut does the
+    stack's shift bound follow, and only when that is >= cut too does each
+    matrix get its own column bound. The smallest bound computed is
+    returned.
     """
     nmat, nrow, ncol = mats.shape
-    if mats.size == 0:
-        return np.zeros(nmat)
     side = min(nrow, ncol)
-    # as python ints, |INT64_MIN| = 2^63 stays exact instead of wrapping
-    lo, hi = int(mats.min()), int(mats.max())
     log_h = _hadamard_log_bound(float(max(-lo, hi)), side)
     if log_h < cut:
         return np.full(nmat, log_h)
@@ -585,8 +634,12 @@ def batch_exact_ranks(
     entry range, and, when neither puts the stack on path 1, the matrix's
     own bordered column-norm bound. Each matrix takes a path by its own H.
 
-    1. H < primes[0] and 2*H^2 < 2^53: float64 Bareiss elimination. Every
-       intermediate value is an integer below 2^53, so the ranks are exact.
+    1. H < primes[0] and 2*H^2 < 2^53: Bareiss elimination in floating
+       point. Every intermediate value is an integer below 2^53, so the
+       float64 ranks are exact. The leading columns run in float32 while
+       the stack's bounds on the minors they multiply keep every value
+       below 2^24 (_batch_rank_float); which columns do never changes a
+       rank.
     2. H < primes[0] otherwise: ranks mod primes[0]. No nonzero minor is
        divisible by the prime, so the ranks are exact.
     3. Otherwise: ranks mod primes[0]. Full rank is certified (modular rank
@@ -611,16 +664,18 @@ def batch_exact_ranks(
         raise ValueError("need two distinct primes")
     log_p1 = math.log(p1)
     float_cut = min(log_p1, _FLOAT_EXACT_LOG_BOUND)
-    log_h = _minor_log_bounds(mats, float_cut)
+    # as python ints, |INT64_MIN| = 2^63 stays exact instead of wrapping
+    lo, hi = (int(mats.min()), int(mats.max())) if mats.size else (0, 0)
+    log_h = _minor_log_bounds(mats, lo, hi, float_cut)
     on_float = log_h < float_cut
     n_float = int(np.count_nonzero(on_float))
     if counters is not None and n_float:
         counters["float_bareiss"] = counters.get("float_bareiss", 0) + n_float
     if n_float == nmat:
-        return _batch_rank_float(mats)
+        return _batch_rank_float(mats, lo, hi)
     out = np.empty(nmat, dtype=np.int64)
     if n_float:
-        out[on_float] = _batch_rank_float(mats[on_float])
+        out[on_float] = _batch_rank_float(mats[on_float], lo, hi)
     rest = np.flatnonzero(~on_float)
     out[rest] = _batch_rank_mod(mats[rest], p1)
     suspect = rest[(out[rest] < full) & (log_h[rest] >= log_p1)]

@@ -310,7 +310,7 @@ def test_kernel_probe_runs_and_counts_dims(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag,value,k", [("trials", "-1", "1"), ("trials", "0", "0"), ("directions", "-2", "1"),
+    "flag,value,k", [("trials", "-1", "1"), ("trials", "0", "1"), ("directions", "-2", "1"),
                      ("directions", "0", "1")],
 )
 def test_kernel_probe_rejects_counts_below_one(tmp_path, capsys, flag, value, k):
@@ -330,7 +330,6 @@ def test_kernel_probe_rejects_counts_below_one(tmp_path, capsys, flag, value, k)
         # a generous condition region: every direction is flagged
         (["--n", "30", "--k", "2", "--trials", "2", "--directions", "2", "--C-thresh", "2",
           "--tau", "0.9", "--p", "0.9"], (0.9, 0.9)),
-        (["--n", "10", "--k", "0", "--trials", "2"], (0.5, 0.5)),  # no kernel, no scan
     ],
 )
 def test_kernel_probe_reports_scan_counters(tmp_path, argv, regime):
@@ -342,7 +341,7 @@ def test_kernel_probe_reports_scan_counters(tmp_path, argv, regime):
     direct: dict = {}
     kernel_structure_probe(
         parse_distribution("uniform-int(2)"), n, k, int(opts["--trials"]),
-        RegimeParams(k=max(k, 1), tau=regime[0], rho=0.3, delta=0.1, p=regime[1], n=n),
+        RegimeParams(k=k, tau=regime[0], rho=0.3, delta=0.1, p=regime[1], n=n),
         RngStream(9, 0), directions=int(opts.get("--directions", 4)),
         C_thresh=float(opts.get("--C-thresh", 0.1)), counters=direct,
     )
@@ -354,9 +353,33 @@ def test_kernel_probe_reports_scan_counters(tmp_path, argv, regime):
     assert got["ticks"] >= got["prefix_survivors"] >= got["candidates"] >= got["confirmed"]
     report = json.loads((tmp_path / "kp.json").read_text())["result"]["report"]
     assert got["confirmed"] == report["flagged_directions"]
-    assert (got == zeros) == (k == 0)
+    assert got["ticks"] > 0
     # only a confirmed hit is refined, and every generous direction is one
     assert (got["refine_steps"] > 0) == (got["confirmed"] > 0) == (regime == (0.9, 0.9))
+
+
+def test_kernel_probe_refuses_k_0(tmp_path, capsys):
+    # k = 0 leaves no kernel to probe: the run would accept --trials and drop it
+    out = tmp_path / "kp"
+    assert run(["kernel-probe", "--n", "10", "--k", "0", "--trials", "5", "--out", str(out)]) == 2
+    assert "config error: bad value for 'k'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("blocked", [None, "x.csv", "x.json"])
+def test_unwritable_output_exits_1_with_no_files(tmp_path, capsys, blocked):
+    # None: a missing output directory. Otherwise a directory sits where an
+    # output goes, so its temp file is written and then cannot replace it;
+    # when that is the JSON, the CSV already written is taken back.
+    if blocked is None:
+        out = tmp_path / "no" / "such" / "x"
+    else:
+        (tmp_path / blocked).mkdir()
+        out = tmp_path / "x"
+    assert run(["rank-prob", "--n", "3", "--trials", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.rglob("*")] == ([] if blocked is None else [blocked])
 
 
 def test_ao_extract_round_trip(tmp_path):

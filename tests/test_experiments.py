@@ -669,8 +669,8 @@ def test_probe_reports_match_pinned_records():
 
 def test_probe_structural_reports():
     regime = RegimeParams(k=2, tau=0.5, rho=0.3, delta=0.1, p=0.4, n=24)
-    kp = kernel_structure_probe(uniform_int(1), 10, 0, 5, regime, RngStream(1, 0))
-    assert kp.note.startswith("no kernel")
+    with pytest.raises(ValueError, match="need 1 <= k < n"):
+        kernel_structure_probe(uniform_int(1), 10, 0, 5, regime, RngStream(1, 0))
     with pytest.raises(ValueError, match="capped"):
         kernel_structure_probe(uniform_int(1), 201, 2, 1, regime, RngStream(1, 0))
 

@@ -359,17 +359,22 @@ def test_batch_rank_mod_rectangular():
 
 P31 = 2**31 - 1
 FLOAT_LOG_BOUND = 26 * math.log(2)
+FLOAT32_LOG_BOUND = 11.5 * math.log(2)
 
 
 def _exact_ranks(mats):
     return [mc.exact_rank(m) for m in mats]
 
 
-def _float_ranks_checked(mats):
+def _entry_range(mats):
+    return int(mats.min()), int(mats.max())
+
+
+def _float_ranks_checked(mats, dtype=np.float64):
     """Float Bareiss ranks, checking that every entry left in the stack is
     still a minor of the input: an integer no larger than the Hadamard bound."""
-    a = mats.transpose(2, 1, 0).astype(np.float64, order="C")
-    ranks = mc._eliminate(a, None).tolist()
+    a = mats.transpose(2, 1, 0).astype(dtype, order="C")
+    ranks = mc._eliminate(a, None)[0].tolist()
     h = math.exp(mc._hadamard_log_bound(float(np.abs(mats).max()), min(mats.shape[1:])))
     assert np.array_equal(a, np.round(a))
     assert np.abs(a).max() <= h * (1 + 1e-9)
@@ -491,7 +496,7 @@ def test_kernels_accept_empty_stacks():
     for shape in ((0, 3, 3), (2, 0, 3), (2, 3, 0)):
         mats = np.zeros(shape, dtype=np.int64)
         want = [0] * shape[0]
-        assert mc._batch_rank_float(mats).tolist() == want
+        assert mc._batch_rank_float(mats, 0, 0).tolist() == want
         assert mc._batch_rank_mod(mats, P31).tolist() == want
         assert mc.batch_exact_ranks(mats, (5, 7)).tolist() == want
 
@@ -537,7 +542,7 @@ def test_float_path_taken_exactly_below_bound(mats):
     want = _exact_ranks(mats)
     p1 = mc.random_prime(mc.RngStream(8, 1), 31)
     p2 = mc.random_prime(mc.RngStream(8, 2), 31)
-    on_float = mc._minor_log_bounds(mats, FLOAT_LOG_BOUND) < FLOAT_LOG_BOUND
+    on_float = mc._minor_log_bounds(mats, *_entry_range(mats), FLOAT_LOG_BOUND) < FLOAT_LOG_BOUND
     counters: dict = {}
     assert mc.batch_exact_ranks(mats, (p1, p2), counters).tolist() == want
     assert counters.get("float_bareiss", 0) == on_float.sum()
@@ -551,7 +556,88 @@ def test_float_path_taken_exactly_below_bound(mats):
             if np.array_equal(m @ m.T, 4 * top * top * np.eye(4)):
                 assert not fl
     if on_float.any():
-        assert mc._batch_rank_float(mats[on_float]).tolist() == np.array(want)[on_float].tolist()
+        got = mc._batch_rank_float(mats[on_float], *_entry_range(mats))
+        assert got.tolist() == np.array(want)[on_float].tolist()
+
+
+@given(planted_stacks(FLOAT32_LOG_BOUND))
+@settings(max_examples=150, deadline=None)
+def test_float32_kernel_matches_exact_rank_below_its_cut(mats):
+    # every minor stays below 2^11.5, so every column runs in float32; at
+    # side 1 the entries reach +-2896, as 2 * 2896^2 < 2^24 < 2 * 2897^2
+    want = _exact_ranks(mats)
+    assert _float_ranks_checked(mats, np.float32) == want
+    side = min(mats.shape[1:])
+    assert mc._float32_depth(*_entry_range(mats), side) == side
+    assert mc._batch_rank_float(mats, *_entry_range(mats)).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "lo,hi,side,depth",
+    [(-2896, 2896, 4, 1), (-2897, 2897, 4, 0), (0, 2896, 3, 1), (0, 1, 16, 11),
+     (-1, 1, 10, 7), (-3, 3, 8, 4), (0, 0, 5, 5)],
+)
+def test_float32_depth_examples(lo, hi, side, depth):
+    # 0/1 at 16 stops at the shift bound (12^6 / 2^11 < 2^11.5 < 13^6.5 / 2^12),
+    # +-1 at 10 at the Hadamard bound (7^3.5 < 2^11.5 < 8^4)
+    assert _top_entry(1, FLOAT32_LOG_BOUND) == 2896
+    assert mc._float32_depth(lo, hi, side) == depth
+
+
+def test_float32_columns_resume_as_one_float64_pass():
+    # the float32 columns, widened and resumed from their ranks and pivots,
+    # leave every entry, rank and pivot of one float64 pass, bit for bit, up
+    # to +-2896; at +-2897 the 2-minor 2897^2 + 2896 * 2897 = 16782321 > 2^24
+    # rounds in float32, so no float32 column may take that stack
+    rng = np.random.default_rng(2896)
+    for lo, hi, side in ((-2896, 2896, 4), (-3, 3, 8), (0, 1, 16)):
+        mats = rng.integers(lo, hi + 1, size=(200, side, side))
+        mats[::2, -1] = mats[::2, 0] - mats[::2, 1] // 2 * 2
+        a = mats.transpose(2, 1, 0).astype(np.float64, order="C")
+        want = mc._eliminate(a, None)
+        depth = mc._float32_depth(lo, hi, side)
+        b = mats.transpose(2, 1, 0).astype(np.float32, order="C")
+        rank, prev = mc._eliminate(b, None, depth)
+        b = b[depth:].astype(np.float64, order="C")
+        got = mc._eliminate(b, None, rank=rank, prev=prev)
+        assert np.array_equal(b, a[depth:])
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    past = np.array([[[2897, 2896], [-2897, 2897]]]).transpose(2, 1, 0)
+    a = past.astype(np.float32, order="C")
+    mc._eliminate(a, None, 1)
+    assert int(a[1, 1, 0]) != 16782321
+    assert mc._float32_depth(-2897, 2897, 2) == 0
+
+
+@pytest.mark.parametrize("lo,hi,side,depth", [(0, 1, 16, 11), (-1, 1, 10, 7), (-3, 3, 8, 4)])
+def test_float32_stage_hands_over_to_float64_partway(monkeypatch, lo, hi, side, depth):
+    # each planted row splits another's support over two rows, so the
+    # dependency shows only by exact cancellation after the hand-over
+    rng = np.random.default_rng(side)
+    mats = rng.integers(lo, hi + 1, size=(150, side, side))
+    for m in mats[::2]:
+        i, j, k = rng.choice(side, size=3, replace=False)
+        mask = rng.integers(0, 2, size=side)
+        m[j], m[k] = m[i] * mask, m[i] * (1 - mask)
+    for m in mats[::3]:  # a column without a pivot
+        m[:, rng.integers(side)] = 0
+    assert _entry_range(mats) == (lo, hi)
+    calls, handed = [], []
+    eliminate = mc._eliminate
+
+    def spy(a, p, stop=None, rank=None, prev=None):
+        calls.append((a.dtype, a.shape[0], stop))
+        handed.append(prev)
+        out = eliminate(a, p, stop, rank, prev)
+        handed.append(out[1])
+        return out
+
+    monkeypatch.setattr(mc, "_eliminate", spy)
+    counters: dict = {}
+    assert mc.batch_exact_ranks(mats, (P31, 2147483629), counters).tolist() == _exact_ranks(mats)
+    assert counters == {"float_bareiss": 150}
+    assert calls == [(np.float32, side, depth), (np.float64, side - depth, None)]
+    assert handed[2] is handed[1]  # the float64 pass divides by the float32 pivots
 
 
 # --- minor bounds ------------------------------------------------------------
@@ -626,7 +712,8 @@ def test_minor_bounds_hold_for_every_minor(box, scale):
     side = min(mats.shape[1:])
     shift = mc._shift_log_bound(lo / scale, hi / scale, side)
     cols = mc._column_log_bounds(mats / scale)
-    combined = mc._minor_log_bounds(mats, 0.0)  # cut 0: the least of all three bounds
+    # cut 0: the least of all three bounds
+    combined = mc._minor_log_bounds(mats, *_entry_range(mats), 0.0)
     stack_centred = _stack_centred_column_log_bounds(mats / scale, (lo + hi) / (2 * scale))
     for i, m in enumerate(mats):
         log_minor = math.log(_largest_minor([[Fraction(int(x), scale) for x in row] for row in m]))
@@ -648,7 +735,7 @@ def test_minor_bound_examples():
     # a 1 x 5 row of ones: its column norms sit below 1, clamped to 1
     ones = np.ones((1, 1, 5), dtype=np.int64)
     assert mc._column_log_bounds(ones)[0] == pytest.approx(0.5 * math.log(2))
-    assert mc._minor_log_bounds(np.zeros((2, 3, 3), dtype=np.int64), 0.0).tolist() == [0.0, 0.0]
+    assert mc._minor_log_bounds(np.zeros((2, 3, 3), dtype=np.int64), 0, 0, 0.0).tolist() == [0.0, 0.0]
 
 
 def test_batch_exact_ranks_mixed_float_and_modular():
@@ -700,7 +787,7 @@ def test_batch_exact_ranks_int64_min_entry():
     # bound and sent the matrix to float elimination, which lost the rank
     m = np.array([[[-(2**63), 0, -2], [-1, 1, 2], [-1, -1, -2]]], dtype=np.int64)
     assert mc.batch_exact_ranks(m, (2147483647, 2147483629)).tolist() == [3]
-    assert mc._minor_log_bounds(m, math.inf).tolist() == [mc._hadamard_log_bound(2.0**63, 3)]
+    assert mc._minor_log_bounds(m, -(2**63), 2, math.inf).tolist() == [mc._hadamard_log_bound(2.0**63, 3)]
 
 
 # --- text IO ---------------------------------------------------------------
