@@ -6,9 +6,9 @@ almost-orthogonal systems), lcd (least common denominator estimation),
 rounding (randomized lattice rounding), bounds (closed-form probability
 bound evaluators), experiments (Monte Carlo drivers), cli (command line).
 Import the module you need; nothing heavy happens at package import time,
-and importing ranklab.cli loads no scipy.stats either: that takes about 1 s,
-so it is imported only where Sobol points are drawn, for lcd_matrix's
-directions and geometry's isolation sampling.
+and importing ranklab.cli loads no scipy statistics module either: that
+takes about 1 s, so geometry imports it only where its isolation audit
+draws Sobol points.
 """
 
 __version__ = "0.1.0"

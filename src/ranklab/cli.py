@@ -192,8 +192,10 @@ def _named_vector(res) -> np.ndarray:
         v[0] = 1.0
         return v
     if name.startswith("file:"):
-        arr = load_real_matrix(name[5:])
-        return arr.reshape(-1)
+        v = load_real_matrix(name[5:]).reshape(-1)
+        if v.size != n:
+            raise ConfigError(f"bad value for 'n': {n}, but the file vector has {v.size} entries")
+        return v
     raise ConfigError(f"unknown vector '{name}' (use ones, e1, or file:PATH)")
 
 
@@ -437,7 +439,7 @@ SUBCOMMANDS: dict[str, tuple[str, list[Param], object]] = {
         "bracket the least common denominator of a vector",
         [
             Param("vector", "str", "ones", "ones (normalized), e1, or file:PATH"),
-            Param("n", "int", None, "dimension (ignored for file vectors)"),
+            Param("n", "int", None, "dimension (must match a file vector's length)"),
             Param("L", "float", 2.0, "condition scale L"),
             Param("alpha", "float", 0.25, "condition sharpness alpha"),
             Param("bound", "float", None, "scan multipliers up to this bound"),

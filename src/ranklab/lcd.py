@@ -8,37 +8,28 @@ close to the integer lattice:
 
 That infimum is not computable exactly, so estimates are reported as a
 bracket: `upper` is pinned by an explicit witness re-verified at report
-time, `lower` is a certificate about what was scanned. For one search
-dimension the scan is exhaustive on a grid and the bracket is tight; for
-m >= 2 the search is multi-start and the lower end is only the trivial
-cutoff bound, flagged as heuristic.
+time, `lower` is a certificate about what was scanned. The estimator here
+takes one direction at a time, m = 1, where the scan is exhaustive on a grid
+and the bracket is tight.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-
-from .geometry import SparsityParams, classify
-from .matrix_core import RngStream
 
 __all__ = [
     "LCDParams",
     "LCDEstimate",
-    "GuardReport",
     "log_plus",
     "dist_to_lattice",
     "lcd_condition",
     "lcd_vector",
-    "lcd_matrix",
-    "incomp_lcd_guard",
 ]
 
 _REFINE_TOL = 1e-10
-_MATRIX_DIM_CAP = 8
 _SCAN_BLOCK_FLOATS = 2**15  # entries of one screened block, or batch, of ray ticks
 _SCAN_PREFIX = 16  # coordinates of u summed for every tick before the full sum
 _SCREEN_SLACK = 1e-9
@@ -68,9 +59,9 @@ class LCDEstimate:
 
     upper is the infimum estimate; witness_theta is an explicit coefficient
     vector satisfying the condition with norm within 1e-9 of upper (None
-    only when upper is infinite). lower is certified by the scan for one
-    search dimension and merely the trivial cutoff bound when
-    lower_heuristic is set.
+    only when upper is infinite). lower is certified by the scan;
+    lower_heuristic flags a lower end that is not, and lcd_vector never
+    sets it.
     """
 
     upper: float
@@ -321,168 +312,4 @@ def lcd_vector(
         lower=max(last_clean, start),
         witness_theta=witness,
         grid_step=grid_step,
-    )
-
-
-def _ball_directions(m: int, count: int, seed: int) -> np.ndarray:
-    """Quasi-random unit directions in R^m (scrambled Sobol through the normal map)."""
-    from scipy.stats import norm as _norm, qmc  # about 1 s to import, so only when drawing
-
-    eng = qmc.Sobol(d=m, scramble=True, seed=seed)
-    g = _norm.ppf(np.clip(eng.random(count), 1e-12, 1 - 1e-12))
-    bad = np.linalg.norm(g, axis=1) == 0
-    g[bad] = 1.0
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
-def _polish_witness(V, theta, params, rounds: int = 80):
-    """Greedy norm reduction of a verified witness.
-
-    Tries per-coordinate nudges and global shrinks, keeping only moves that
-    stay witnesses while strictly reducing the norm. Purely deterministic.
-    """
-    best = theta.copy()
-    best_norm = float(np.linalg.norm(best))
-    step = 0.05 * best_norm
-    for _ in range(rounds):
-        improved = False
-        for cand in _polish_moves(best, step):
-            cn = float(np.linalg.norm(cand))
-            if cn < best_norm - 1e-15 and lcd_condition(V, cand, params):
-                best, best_norm, improved = cand, cn, True
-        if not improved:
-            step *= 0.5
-            if step < 1e-10 * max(best_norm, 1.0):
-                break
-    return best
-
-
-def _polish_moves(theta: np.ndarray, step: float):
-    yield theta * (1.0 - step / max(float(np.linalg.norm(theta)), 1e-300))
-    for j in range(theta.size):
-        for sgn in (1.0, -1.0):
-            cand = theta.copy()
-            cand[j] += sgn * step
-            yield cand
-
-
-def lcd_matrix(
-    V,
-    params: LCDParams,
-    search_bound: float,
-    budget: int = 64,
-    rng: RngStream | None = None,
-) -> LCDEstimate:
-    """Bracket the LCD of an m x n matrix, m <= 8, by multi-start ray search.
-
-    Rays: the m coordinate axes plus `budget` quasi-random directions seeded
-    from rng. Each ray gets the 1-d grid scan; the best hit is polished by
-    coordinate descent. The lower end is only the trivial cutoff bound
-    L/(alpha*s1(V)) and is flagged heuristic for m >= 2, since exhausting a
-    ball in several dimensions is out of reach.
-    """
-    V = _as_matrix(V)
-    m = V.shape[0]
-    if m > _MATRIX_DIM_CAP:
-        raise ValueError(f"search dimension {m} over cap {_MATRIX_DIM_CAP}")
-    if budget < 1:
-        raise ValueError("need budget >= 1")
-    if m == 1:
-        return lcd_vector(V[0], params, search_bound)
-    s1 = float(np.linalg.svd(V, compute_uv=False)[0])
-    if s1 == 0.0:
-        raise ValueError("zero matrix has no denominator structure")
-    trivial = params.L / (params.alpha * s1)
-    grid_step = search_bound * 1e-3
-
-    seed = 0 if rng is None else rng.derive(817).stream_id % (2**32)
-    dirs = np.vstack([np.eye(m), _ball_directions(m, budget, int(seed))])
-    best_theta = None
-    best_norm = math.inf
-    for d in dirs:
-        res = _scan_ray(V.T @ d, params, search_bound, grid_step)
-        if res is None:
-            continue
-        _, hi, _ = res
-        if hi < best_norm:
-            best_norm = hi
-            best_theta = hi * d
-    if best_theta is None:
-        return LCDEstimate(
-            upper=math.inf,
-            lower=trivial,
-            witness_theta=None,
-            grid_step=grid_step,
-            lower_heuristic=True,
-        )
-    best_theta = _polish_witness(V, best_theta, params)
-    if not lcd_condition(V, best_theta, params):
-        raise RuntimeError("witness failed re-verification")
-    upper = float(np.linalg.norm(best_theta))
-    return LCDEstimate(
-        upper=max(upper, trivial),
-        lower=trivial,
-        witness_theta=best_theta,
-        grid_step=grid_step,
-        lower_heuristic=True,
-    )
-
-
-@dataclass(frozen=True)
-class GuardReport:
-    """Outcome of the incompressible-direction lattice-distance guard."""
-
-    hypothesis_met: bool
-    applicable: bool
-    holds: bool
-    slack: float
-    image_norm: float
-    lattice_dist: float
-    rhs: float
-
-    @property
-    def status(self) -> str:
-        if not self.hypothesis_met:
-            return "hypothesis unmet"
-        if not self.applicable:
-            return "outside admissible ball"
-        return "holds" if self.holds else "violated"
-
-
-def incomp_lcd_guard(
-    U, s: int, alpha: float, L: float, theta: Sequence[float]
-) -> GuardReport:
-    """Check that incompressible directions keep their small multiples off the lattice.
-
-    U is n x l with columns spanning the directions of interest; s is the
-    support budget of the compressibility test. Whenever the direction of
-    U theta is incompressible under (s, alpha) and ||U theta|| <= sqrt(s)/2,
-    the distance from U theta to Z^n must be at least
-    L * sqrt(log+(alpha ||U theta|| / L)). A compressible direction is a
-    failed hypothesis, reported, never asserted against.
-    """
-    U = np.asarray(U, dtype=np.float64)
-    if U.ndim != 2:
-        raise ValueError("U must be a matrix")
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    if theta.shape[0] != U.shape[1]:
-        raise ValueError("dimension mismatch between U and theta")
-    y = U @ theta
-    norm = float(np.linalg.norm(y))
-    if norm == 0.0:
-        return GuardReport(True, True, True, 0.0, 0.0, 0.0, 0.0)
-    direction = y / norm
-    hypothesis_met = classify(direction, SparsityParams(s, alpha)) == "incompressible"
-    applicable = norm <= math.sqrt(s) / 2.0
-    dist = dist_to_lattice(y)
-    rhs = L * math.sqrt(log_plus(alpha * norm / L))
-    holds = dist >= rhs
-    return GuardReport(
-        hypothesis_met=bool(hypothesis_met),
-        applicable=bool(applicable),
-        holds=bool(holds),
-        slack=float(dist - rhs),
-        image_norm=norm,
-        lattice_dist=float(dist),
-        rhs=float(rhs),
     )

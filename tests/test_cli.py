@@ -61,6 +61,16 @@ def test_lcd_vector_from_file(tmp_path):
     assert float(_csv_rows(tmp_path / "f.csv")[0]["upper"]) == pytest.approx(8.0, abs=1e-6)
 
 
+def test_lcd_file_vector_length_must_match_n(tmp_path, capsys):
+    save_matrix_text(np.ones((1, 50)), tmp_path / "v.txt")
+    out = tmp_path / "out" / "m"
+    out.parent.mkdir()
+    assert run(["lcd", "--vector", f"file:{tmp_path / 'v.txt'}", "--n", "7",
+                "--bound", "8.5", "--out", str(out)]) == 2
+    assert "50 entries" in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []
+
+
 def test_unknown_flag_exits_2_without_outputs(tmp_path):
     out = tmp_path / "x"
     assert run(["rank-prob", "--bogus", "3", "--n", "2", "--out", str(out)]) == 2

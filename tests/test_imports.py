@@ -1,4 +1,4 @@
-"""scipy.stats is imported only where Sobol directions are drawn.
+"""scipy.stats is imported only where geometry draws its Sobol points.
 
 It costs about 1 s and 60 MB per process, and no benchmark workload needs it,
 so importing ranklab.cli and running the rank, exhaustive and kernel-probe
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import ranklab
-from ranklab import geometry, lcd
+from ranklab import geometry
 
 SRC = Path(ranklab.__file__).resolve().parents[1]
 
@@ -54,16 +54,6 @@ def test_benchmark_setup_calls_leave_scipy_stats_unloaded(tmp_path):
 
 def test_sobol_draws_unchanged_by_the_deferred_import():
     # recorded while scipy.stats was still imported at module load (scipy 1.17.1)
-    directions = [
-        [0.42269838150603967, -0.9028434486257064, 0.07873871694291007],
-        [-0.26972435793314775, 0.9612711762644189, -0.056625934171292226],
-        [-0.6778176852047588, -0.0814173084078376, 0.7307081548164669],
-        [0.5841839826091125, 0.0899936348058139, -0.8066165260874549],
-        [0.9410707421691934, -0.24390652966967508, -0.23429780839269373],
-        [-0.8995552783643238, 0.3264630348686267, 0.2902105925552163],
-        [-0.28706509291327087, -0.8521797240424718, -0.4374738282018614],
-        [0.16316576135846753, 0.8722185655289643, 0.4610983715726045],
-    ]
     ball = [
         [-5.77350269189626e-06, -5.77350269189626e-06, -5.77350269189626e-06],
         [0.045824321233286766, 0.045824321233286766, 0.045824321233286766],
@@ -75,5 +65,4 @@ def test_sobol_draws_unchanged_by_the_deferred_import():
         [-0.04655544219104833, 0.012895557420987218, -0.012895557420987218],
     ]
     # the relative tolerance admits last-bit differences in other scipy builds' quantiles
-    np.testing.assert_allclose(lcd._ball_directions(3, 8, 5), directions, rtol=1e-13, atol=0)
     np.testing.assert_allclose(geometry._ball_sample(3, 0.1, 8), ball, rtol=1e-13, atol=0)

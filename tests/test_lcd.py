@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranklab import lcd
-from ranklab.matrix_core import RngStream
 
 P = lcd.LCDParams(2.0, 0.25)
 
@@ -62,6 +61,10 @@ def test_condition_worked_examples():
     assert lcd.lcd_condition(v[None, :], [10.0], P)  # integer image, log+ > 0
     e1 = basis_vec(100)
     assert lcd.lcd_condition(e1[None, :], [9.0], P)
+    # two rows: the image 9 e1 has alpha ||y|| / L = 1.125 > 1, while 8 e1 sits at the cutoff
+    V = np.eye(2, 100)
+    assert lcd.lcd_condition(V, [9.0, 0.0], P)
+    assert not lcd.lcd_condition(V, [8.0, 0.0], P)
 
 
 def test_condition_dimension_mismatch():
@@ -453,25 +456,6 @@ def test_scan_ray_ignores_poisoned_buffers(zero_prefix):
         assert got[2] == 8.0 + (i - 1) * step
 
 
-def _matrix_records():
-    u1 = np.zeros(100)
-    u1[:50] = 1 / math.sqrt(50)
-    u2 = np.zeros(100)
-    u2[50:] = 1 / math.sqrt(50)
-    return [
-        lcd.lcd_matrix(np.eye(2, 20), P, 20.0, budget=32, rng=RngStream(5)).to_record(),
-        lcd.lcd_matrix(np.vstack([u1, u2]), P, 20.0, budget=64, rng=RngStream(7)).to_record(),
-        lcd.lcd_matrix(0.5 * np.eye(2, 10), P, 40.0, budget=32, rng=RngStream(9)).to_record(),
-    ]
-
-
-def test_lcd_matrix_unchanged_by_a_wide_scan_between_calls():
-    before = _matrix_records()
-    for case in _buffer_cases()[-4:]:  # the widest scans, 327 and WIDE coordinates
-        lcd._scan_ray(*case)
-    assert _matrix_records() == before
-
-
 def test_lcd_params_validation():
     with pytest.raises(ValueError):
         lcd.LCDParams(0.0, 0.5)
@@ -479,55 +463,6 @@ def test_lcd_params_validation():
         lcd.LCDParams(1.0, 0.0)
     with pytest.raises(ValueError):
         lcd.LCDParams(1.0, 1.5)
-
-
-# --- lcd_matrix --------------------------------------------------------------
-
-
-def test_lcd_matrix_single_row_delegates():
-    v = ones_unit(100)
-    em = lcd.lcd_matrix(v[None, :], P, 20.0)
-    ev = lcd.lcd_vector(v, P, 20.0)
-    assert em.upper == ev.upper
-    assert not em.lower_heuristic or em.upper == ev.upper  # m=1 keeps the scan certificate
-
-
-def test_lcd_matrix_orthonormal_rows_match_worst_row():
-    V = np.zeros((2, 20))
-    V[0, 0] = 1.0
-    V[1, 1] = 1.0
-    em = lcd.lcd_matrix(V, P, 20.0, budget=32, rng=RngStream(5))
-    row_answers = [lcd.lcd_vector(V[i], P, 20.0).upper for i in range(2)]
-    assert em.upper <= max(row_answers) * 1.05
-    assert em.lower_heuristic
-    assert em.lower == pytest.approx(P.L / P.alpha)  # s1 = 1
-    assert lcd.lcd_condition(V, em.witness_theta, P)
-
-
-def test_lcd_matrix_disjoint_blocks_finds_diagonal_witness():
-    # two disjoint normalized all-ones blocks: per-row answers are ~12.8 but
-    # a mixed coefficient pair lands both blocks on the lattice cheaper
-    u1 = np.zeros(100)
-    u1[:50] = 1 / math.sqrt(50)
-    u2 = np.zeros(100)
-    u2[50:] = 1 / math.sqrt(50)
-    em = lcd.lcd_matrix(np.vstack([u1, u2]), P, 20.0, budget=64, rng=RngStream(7))
-    assert 8.9 <= em.upper <= 10.1
-    assert lcd.lcd_condition(np.vstack([u1, u2]), em.witness_theta, P)
-
-
-def test_lcd_matrix_halved_axis_rows():
-    V = np.zeros((2, 10))
-    V[0, 0] = 0.5
-    V[1, 1] = 0.5
-    em = lcd.lcd_matrix(V, P, 40.0, budget=32, rng=RngStream(9))
-    assert em.upper == pytest.approx(16.0, abs=1e-6)  # cutoff boundary at s1 = 1/2
-    assert em.lower == pytest.approx(16.0)
-
-
-def test_lcd_matrix_dimension_cap():
-    with pytest.raises(ValueError, match="cap"):
-        lcd.lcd_matrix(np.eye(9, 12), P, 20.0)
 
 
 def test_estimate_record_roundtrip():
@@ -543,38 +478,3 @@ def test_estimate_invariants_enforced():
         lcd.LCDEstimate(upper=1.0, lower=2.0, witness_theta=np.array([1.0]), grid_step=0.1)
     with pytest.raises(ValueError):
         lcd.LCDEstimate(upper=math.inf, lower=2.0, witness_theta=np.array([1.0]), grid_step=0.1)
-
-
-# --- guard -------------------------------------------------------------------
-
-
-def test_guard_trivial_below_cutoff():
-    rng = np.random.default_rng(0)
-    U, _ = np.linalg.qr(rng.normal(size=(100, 3)))
-    theta = np.array([0.01, 0.0, 0.0])
-    rep = lcd.incomp_lcd_guard(U, 10, 0.1, 1.0, theta)
-    assert rep.holds and rep.rhs == 0.0
-
-
-def test_guard_zero_violations_randomized():
-    rng = np.random.default_rng(3)
-    U, _ = np.linalg.qr(rng.normal(size=(100, 3)))
-    s = 10
-    radius = math.sqrt(s) / 2
-    checked = 0
-    for _ in range(2000):
-        theta = rng.normal(size=3)
-        theta *= radius * rng.uniform() ** (1 / 3) / np.linalg.norm(theta)
-        rep = lcd.incomp_lcd_guard(U, s, 0.1, 1.0, theta)
-        if rep.hypothesis_met and rep.applicable:
-            checked += 1
-            assert rep.holds, theta
-    assert checked > 1500  # dense random directions are rarely compressible
-
-
-def test_guard_sparse_direction_reports_unmet():
-    U = np.zeros((100, 1))
-    U[0, 0] = 1.0
-    rep = lcd.incomp_lcd_guard(U, 10, 0.1, 1.0, [1.5])
-    assert rep.status == "hypothesis unmet"
-    assert not rep.hypothesis_met

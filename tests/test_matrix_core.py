@@ -392,7 +392,8 @@ def _top_entry(side, log_bound):
 @st.composite
 def planted_stacks(draw, log_bound):
     """Stacks of 1..6 x 1..6 matrices whose Hadamard bound stays below
-    log_bound, with planted row dependencies, zero columns and zero matrices."""
+    log_bound, with planted row and column dependencies, zero columns and zero
+    matrices."""
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     top = _top_entry(min(rows, cols), log_bound)
     bound = draw(st.sampled_from([1, top]) | st.integers(1, top))
@@ -404,21 +405,33 @@ def planted_stacks(draw, log_bound):
                       max_size=3)
     for m in mats:
         for plant in draw(plants):
-            i, j, k = (draw(st.integers(0, rows - 1)) for _ in range(3))
-            c1, c2, c3 = (draw(st.integers(0, cols - 1)) for _ in range(3))
+            i, j = (draw(st.integers(0, rows - 1)) for _ in range(2))
+            c1 = draw(st.integers(0, cols - 1))
             if plant == "copy":
                 m[i] = m[j]
             elif plant == "negate":
                 m[i] = -m[j]
-            elif plant == "sum":  # halve the summands so the bound still holds
-                m[i] = _halved(m[j]) + _halved(m[k])
-            elif plant == "col_sum":
-                m[:, c1] = _halved(m[:, c2]) - _halved(m[:, c3])
+            elif plant == "sum" and rows > 1:
+                # halve the sources in place so the bound still holds and
+                # the target stays their sum
+                j, k = _sources(draw, rows, i)
+                m[j], m[k] = _halved(m[j]), _halved(m[k])
+                m[i] = m[j] + m[k]
+            elif plant == "col_sum" and cols > 1:
+                c2, c3 = _sources(draw, cols, c1)
+                m[:, c2], m[:, c3] = _halved(m[:, c2]), _halved(m[:, c3])
+                m[:, c1] = m[:, c2] - m[:, c3]
             elif plant == "zero_col":
                 m[:, c1] = 0
-            else:
+            elif plant == "zero":
                 m[:] = 0
     return mats
+
+
+def _sources(draw, size, target):
+    """Two indices below size other than target, possibly equal."""
+    others = st.sampled_from([x for x in range(size) if x != target])
+    return draw(others), draw(others)
 
 
 def _halved(v):
