@@ -153,10 +153,14 @@ def _rank_config(res) -> RankTrialConfig:
     )
 
 
+# batch_exact_ranks' certification counters
+_RANK_COUNTERS = ("float_bareiss", "second_prime", "later_primes")
+
+
 def _histogram(res):
     """estimate_deficiency on the resolved config, with the count of
     matrices that took each certification path (batch_exact_ranks)."""
-    counters = dict.fromkeys(("float_bareiss", "second_prime", "exact_fallback"), 0)
+    counters = dict.fromkeys(_RANK_COUNTERS, 0)
     hist = estimate_deficiency(_rank_config(res), counters)
     return hist, counters
 
@@ -167,12 +171,13 @@ def _run_rank_prob(res):
 
 
 def _run_exhaustive(res):
-    ex = exhaustive_deficiency(res["dist-spec"], res["n"])
+    counters = dict.fromkeys(_RANK_COUNTERS, 0)
+    ex = exhaustive_deficiency(res["dist-spec"], res["n"], counters)
     rows = [["n", "k", "prob_num", "prob_den", "p_hat"]]
     for k in range(1, res["n"] + 1):
         p = ex.prob_at_least(k)
         rows.append([res["n"], k, p.numerator, p.denominator, _fmt(float(p))])
-    return rows, {"exact": ex.to_record()}
+    return rows, {"exact": ex.to_record(), "counters": counters}
 
 
 def _run_decay_fit(res):
@@ -245,6 +250,8 @@ def _run_ao_extract(res):
 
 def _run_round_demo(res):
     n, draws = res["n"], res["draws"]
+    if draws < 1:  # the mean over no draws is NaN
+        raise ConfigError(f"bad value for 'draws': {draws} (round-demo needs draws >= 1)")
     root = RngStream(res["seed"], 0)
     x = root.derive(1).generator().standard_normal(n)
     total = np.zeros(n)
@@ -299,6 +306,10 @@ def _run_qgt_audit(res):
 
 def _run_qgt_adversarial(res):
     m, n, q, k = res["m"], res["n"], res["q"], res["k"]
+    if res["matrices"] < 1:  # the hit frequency over no matrices is undefined
+        raise ConfigError(
+            f"bad value for 'matrices': {res['matrices']} (qgt-adversarial needs matrices >= 1)"
+        )
     root = RngStream(res["seed"], 0)
     rows = [["matrix", "size_J", "has_m_columns", "deficiency"]]
     hits = 0

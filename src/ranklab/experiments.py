@@ -5,8 +5,9 @@ probes.
 Trials are independent units. Every batch draws its own derived stream
 keyed by the batch index, so results are bit-identical however the batches
 are scheduled, and a run is fully reproducible from (config, master_seed).
-Rank computations ride the certified modular fast path with an exact
-fallback; nothing here trusts floating point for a rank.
+Rank computations go through batch_exact_ranks, whose float path is
+certified by a minor bound and whose modular path adds primes until their
+product passes it; nothing here trusts floating point for a rank.
 """
 
 from __future__ import annotations
@@ -210,10 +211,11 @@ def _enumerated_digits(base: int, n: int, start: int, stop: int) -> np.ndarray:
 def estimate_deficiency(config: RankTrialConfig, counters: dict | None = None) -> DeficiencyHistogram:
     """Monte Carlo (or enumerated) deficiency histogram for square matrices.
 
-    Ranks come from the batched two-prime modular path with exact fallback,
-    so every tally is an exact rank even when the certification bound does
-    not apply. Batches of fixed size use streams derived from the batch
-    index, which makes the histogram independent of execution order.
+    Ranks come from batch_exact_ranks, so every tally is an exact rank,
+    whichever path certified it. Batches of fixed size use streams derived
+    from the batch index, which makes the histogram independent of
+    execution order. `counters`, if given, collects batch_exact_ranks'
+    certification counters.
     """
     dist = centered_integer_dist(config.dist) if config.center_entries else config.dist
     root = RngStream(config.master_seed, 0)
@@ -258,7 +260,7 @@ class ExactDeficiency:
         }
 
 
-def exhaustive_deficiency(dist: DistributionSpec, n: int) -> ExactDeficiency:
+def exhaustive_deficiency(dist: DistributionSpec, n: int, counters: dict | None = None) -> ExactDeficiency:
     """Exact deficiency probabilities by enumerating every matrix, n <= 4.
 
     Atom probabilities enter as exact binary rationals, so the output
@@ -266,11 +268,11 @@ def exhaustive_deficiency(dist: DistributionSpec, n: int) -> ExactDeficiency:
     weight depends only on how many entries take each atom, so states are
     tallied per (deficiency, atom-count class) and each class is weighted
     once. Ranks come from batch_exact_ranks with primes drawn from a fixed
-    stream. Its ranks are exact for any primes: small atoms take its
-    certified paths, and large ones are settled by the second prime when
-    the two primes' product exceeds the minor bound and by the exact
-    fallback otherwise, so atoms chosen against the fixed pair cost time,
-    never correctness.
+    stream. Its ranks are exact for any primes: small atoms take its float
+    path, and large ones are ranked modulo as many primes as the minor
+    bound needs, so atoms chosen against the fixed pair cost time, never
+    correctness. `counters`, if given, collects batch_exact_ranks'
+    certification counters.
     """
     atoms = dist.merged_atoms()
     states = enumeration_states(len(atoms), n)
@@ -285,7 +287,7 @@ def exhaustive_deficiency(dist: DistributionSpec, n: int) -> ExactDeficiency:
     tally: Counter = Counter()
     for start in range(0, states, _BATCH):
         digits = _enumerated_digits(lut.size, n, start, min(start + _BATCH, states))
-        ranks = batch_exact_ranks(lut[digits].reshape(-1, n, n), primes)
+        ranks = batch_exact_ranks(lut[digits].reshape(-1, n, n), primes, counters)
         keys = np.column_stack([n - ranks, np.sort(digits, axis=1)])
         rows, sizes = np.unique(keys, axis=0, return_counts=True)
         tally.update(dict(zip(map(tuple, rows.tolist()), sizes.tolist())))

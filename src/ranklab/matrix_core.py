@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -513,21 +514,21 @@ def _batch_rank_mod(mats: np.ndarray, p: int) -> np.ndarray:
     return _eliminate(a, p)[0]
 
 
-def _batch_rank_float(mats: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Exact ranks of a (matrix, row, col) stack with entries in [lo, hi] by
-    Bareiss elimination; only valid when every minor's bound is below
-    _FLOAT_EXACT_LOG_BOUND.
+def _batch_rank_float(mats: np.ndarray, profile: list[float]) -> np.ndarray:
+    """Exact ranks of a (matrix, row, col) stack with minor bounds `profile`
+    (_minor_log_profile) by Bareiss elimination; only valid when every
+    minor's bound is below _FLOAT_EXACT_LOG_BOUND.
 
-    The first s = _float32_depth(lo, hi, side) columns are eliminated in
-    float32, or every column when s reaches side = min(rows, cols), since
-    no minor is larger. The trailing columns a[s:] are then widened to
-    float64 and eliminated from the ranks and pivots reached so far. With
-    s = 0 (an entry beyond +-2896) the stack is float64 throughout.
+    The first s = _float32_depth(profile) columns are eliminated in float32,
+    or every column when s reaches side = min(rows, cols), since no minor is
+    larger. The trailing columns a[s:] are then widened to float64 and
+    eliminated from the ranks and pivots reached so far. With s = 0 (an
+    entry beyond +-2896) the stack is float64 throughout.
     """
     a = np.asarray(mats).transpose(2, 1, 0)
     ncol, nrow, _ = a.shape
     side = min(nrow, ncol)
-    depth = _float32_depth(lo, hi, side)
+    depth = _float32_depth(profile)
     stop = ncol if depth == side else depth
     rank = prev = None
     if stop:
@@ -546,39 +547,38 @@ def _hadamard_log_bound(max_abs_entry: float, side: int) -> float:
 
 
 def _shift_log_term(c: float, d: float, k: int) -> float:
-    """log of sqrt(k+1) (c^2 + k d^2)^(k/2), a bound on every k x k minor of
-    a matrix with entries in [c - d, c + d] (see _shift_log_bound); -inf
-    when c = d = 0, where every such minor is 0."""
+    """log of sqrt(k+1) (c^2 + k d^2)^(k/2), a bound on every k x k minor M of
+    a matrix with entries in [c - d, c + d]; -inf when c = d = 0.
+
+    Border M with a first row (1, c, ..., c) over a zero column, which keeps
+    det M, and subtract that row from the others: the columns become
+    (1, -1, ..., -1) and (c, M_j - c), of norms sqrt(k+1) and at most
+    sqrt(c^2 + k d^2), so Hadamard's inequality gives the bound.
+    """
     g = c * c + k * d * d
     return 0.5 * math.log(k + 1) + 0.5 * k * math.log(g) if g > 0 else -math.inf
 
 
-def _shift_log_bound(lo: float, hi: float, side: int) -> float:
-    """log of a bound on every minor, of every size k <= side, of a matrix
-    with entries in [lo, hi] and min(rows, cols) = side.
-
-    With c = (lo + hi)/2 and d = (hi - lo)/2, border a k x k minor M with a
-    first row (1, c, ..., c) over a zero column, which keeps det M, and
-    subtract that row from the others: the columns become (1, -1, ..., -1)
-    and (c, M_j - c), of norms sqrt(k+1) and at most sqrt(c^2 + k d^2), so
-    Hadamard's inequality gives |det M| <= sqrt(k+1) (c^2 + k d^2)^(k/2).
-    Bareiss compares minors of every size, so the maximum over k is taken;
-    k = 0 is the empty minor, 1.
+def _minor_log_profile(lo: float, hi: float, side: int) -> list[float]:
+    """[B_0, ..., B_side]: B_k is the log of a bound on every minor of size
+    <= k of a matrix with entries in [lo, hi], the running maximum over
+    sizes j <= k of the smaller of the Hadamard and shift bounds
+    (_shift_log_term, around c = (lo + hi)/2 with d = (hi - lo)/2), from
+    B_0 = 0 for the empty minor. A max of mins is at most a min of maxes, so
+    B_side is never above either bound's maximum over the sizes.
     """
-    c, d = (lo + hi) / 2, (hi - lo) / 2
-    return max([0.0] + [_shift_log_term(c, d, k) for k in range(1, side + 1)])
-
-
-def _float32_depth(lo: int, hi: int, side: int) -> int:
-    """Largest k <= side such that every minor of size <= k of a matrix with
-    entries in [lo, hi] is below exp(_FLOAT32_EXACT_LOG_BOUND) = 2^11.5, by
-    the smaller of the Hadamard and shift bounds at each size."""
     top = float(max(-lo, hi))
     c, d = (lo + hi) / 2, (hi - lo) / 2
+    profile = [0.0]
     for k in range(1, side + 1):
-        if min(_hadamard_log_bound(top, k), _shift_log_term(c, d, k)) >= _FLOAT32_EXACT_LOG_BOUND:
-            return k - 1
-    return side
+        profile.append(max(profile[-1], min(_hadamard_log_bound(top, k), _shift_log_term(c, d, k))))
+    return profile
+
+
+def _float32_depth(profile: list[float]) -> int:
+    """Largest k with profile[k] below _FLOAT32_EXACT_LOG_BOUND, so that every
+    minor of size <= k is below 2^11.5 (see _FLOAT_EXACT_LOG_BOUND)."""
+    return bisect_left(profile, _FLOAT32_EXACT_LOG_BOUND) - 1
 
 
 def _column_log_bounds(mats: np.ndarray) -> np.ndarray:
@@ -586,7 +586,7 @@ def _column_log_bounds(mats: np.ndarray) -> np.ndarray:
     over the columns a_j, with S_j the sum of a_j, m the row count and
     s = min(rows, cols).
 
-    The bordered matrix of _shift_log_bound, built on a k x k minor, keeps
+    The bordered matrix of _shift_log_term, built on a k x k minor, keeps
     det M for any border row (c_j) over the minor's columns: its column
     norms are sqrt(k+1) <= sqrt(s+1) and at most sqrt(c_j^2 + |a_j - c_j|^2).
     c_j = S_j/(m+1) minimizes that, to sqrt(|a_j|^2 - S_j^2/(m+1)), so every
@@ -602,37 +602,38 @@ def _column_log_bounds(mats: np.ndarray) -> np.ndarray:
     return 0.5 * math.log(min(nrow, ncol) + 1) + 0.5 * np.log(np.maximum(col_sq, 1.0)).sum(axis=1)
 
 
-def _minor_log_bounds(mats: np.ndarray, lo: int, hi: int, cut: float) -> np.ndarray:
-    """Per matrix of an int64 (matrix, row, col) stack with entries in
-    [lo, hi], log H with H a bound on |every minor| of the matrix, empty
-    minor included.
+def _minor_log_bounds(mats: np.ndarray, stack_bound: float, cut: float) -> np.ndarray:
+    """Per matrix of an int64 (matrix, row, col) stack, log H with H a bound
+    on |every minor| of the matrix, empty minor included: `stack_bound`, the
+    last entry of the stack's _minor_log_profile, and only when that is
+    >= cut, the smaller of it and the matrix's own column bound."""
+    if stack_bound < cut:
+        return np.full(len(mats), stack_bound)
+    return np.minimum(stack_bound, _column_log_bounds(mats))
 
-    The stack's Hadamard bound comes first. Only when it is >= cut does the
-    stack's shift bound follow, and only when that is >= cut too does each
-    matrix get its own column bound. The smallest bound computed is
-    returned.
-    """
-    nmat, nrow, ncol = mats.shape
-    side = min(nrow, ncol)
-    log_h = _hadamard_log_bound(float(max(-lo, hi)), side)
-    if log_h < cut:
-        return np.full(nmat, log_h)
-    log_h = min(log_h, _shift_log_bound(float(lo), float(hi), side))
-    if log_h < cut:
-        return np.full(nmat, log_h)
-    return np.minimum(log_h, _column_log_bounds(mats))
+
+# a minor can equal the product of the primes, and the logs are rounded, so
+# the product must pass H by this relative margin in log
+_LOG_SLACK = 1e-9
+
+
+def _certifying_primes(primes: tuple[int, int]):
+    """primes[0], primes[1], then the primes below 2^31 from the top down
+    without those two."""
+    yield from primes
+    for c in range((1 << 31) - 1, 2, -2):
+        if c not in primes and is_prime(c):
+            yield c
 
 
 def batch_exact_ranks(
     mats: np.ndarray, primes: tuple[int, int], counters: dict | None = None
 ) -> np.ndarray:
-    """Exact ranks for a stack of integer matrices, each by one of three paths.
+    """Exact ranks for a stack of integer matrices, each by one of two paths.
 
-    H is a bound on every minor of a matrix (_minor_log_bounds): the
-    smallest of the stack's Hadamard bound (max|a| * sqrt(s))^s with
-    s = min(rows, cols), the stack's shift bound around the centre of its
-    entry range, and, when neither puts the stack on path 1, the matrix's
-    own bordered column-norm bound. Each matrix takes a path by its own H.
+    H bounds every minor of a matrix (_minor_log_bounds): the stack's bound
+    from its entry range and, when that misses path 1, the matrix's own
+    column bound if smaller. Each matrix takes a path by its own H.
 
     1. H < primes[0] and 2*H^2 < 2^53: Bareiss elimination in floating
        point. Every intermediate value is an integer below 2^53, so the
@@ -640,56 +641,54 @@ def batch_exact_ranks(
        the stack's bounds on the minors they multiply keep every value
        below 2^24 (_batch_rank_float); which columns do never changes a
        rank.
-    2. H < primes[0] otherwise: ranks mod primes[0]. No nonzero minor is
-       divisible by the prime, so the ranks are exact.
-    3. Otherwise: ranks mod primes[0]. Full rank is certified (modular rank
-       never exceeds the exact one); deficient-looking matrices are ranked
-       again mod primes[1]. Agreement is certified when H < primes[0] *
-       primes[1]: a rank too low mod both primes means both divide a nonzero
-       minor, which is then at least their product. Disagreement, and
-       agreement when H >= primes[0] * primes[1], fall back to exact_rank.
+    2. Otherwise: ranks modulo primes[0], primes[1], then the primes below
+       2^31 from the top down (_certifying_primes), each prime re-ranking
+       only the matrices still open and keeping each one's largest rank r.
+       A matrix closes when r is full, or when the product P of the primes
+       so far exceeds H (by _LOG_SLACK in log). That is sound: a prime
+       whose rank is <= r divides every (r+1)-minor, so if the rank were
+       above r, P would divide a nonzero minor, which is at most H. With
+       H < primes[0] a matrix closes after one prime, and every prime of
+       the stream multiplies P by more than 2^30, so at most about
+       log H / (30 ln 2) follow primes[1].
 
     Every returned rank is therefore exact, whatever the primes (distinct
-    31-bit primes, below the batched kernel's limit). Random primes keep the
-    fallback rare; a fixed pair only makes inputs built against it slow.
-    `counters`, if given, adds the matrices ranked on path 1 under
+    and below the batched kernel's limit of 2^31). Random primes keep the
+    later rounds rare; a fixed pair only makes inputs built against it
+    slower. `counters`, if given, adds the matrices ranked on path 1 under
     "float_bareiss", those re-ranked mod primes[1] under "second_prime" and
-    those sent to exact_rank under "exact_fallback".
+    the re-ranks mod the later primes under "later_primes".
     """
     mats = np.asarray(mats, dtype=np.int64)
     nmat, nrow, ncol = mats.shape
     full = min(nrow, ncol)
-    p1, p2 = primes
-    if p1 == p2:
+    if primes[0] == primes[1]:
         raise ValueError("need two distinct primes")
-    log_p1 = math.log(p1)
-    float_cut = min(log_p1, _FLOAT_EXACT_LOG_BOUND)
+    float_cut = min(math.log(primes[0]), _FLOAT_EXACT_LOG_BOUND)
     # as python ints, |INT64_MIN| = 2^63 stays exact instead of wrapping
     lo, hi = (int(mats.min()), int(mats.max())) if mats.size else (0, 0)
-    log_h = _minor_log_bounds(mats, lo, hi, float_cut)
+    profile = _minor_log_profile(lo, hi, full)
+    log_h = _minor_log_bounds(mats, profile[-1], float_cut)
     on_float = log_h < float_cut
     n_float = int(np.count_nonzero(on_float))
     if counters is not None and n_float:
         counters["float_bareiss"] = counters.get("float_bareiss", 0) + n_float
     if n_float == nmat:
-        return _batch_rank_float(mats, lo, hi)
-    out = np.empty(nmat, dtype=np.int64)
+        return _batch_rank_float(mats, profile)
+    out = np.zeros(nmat, dtype=np.int64)
     if n_float:
-        out[on_float] = _batch_rank_float(mats[on_float], lo, hi)
-    rest = np.flatnonzero(~on_float)
-    out[rest] = _batch_rank_mod(mats[rest], p1)
-    suspect = rest[(out[rest] < full) & (log_h[rest] >= log_p1)]
-    if suspect.size == 0:
-        return out
-    if counters is not None:
-        counters["second_prime"] = counters.get("second_prime", 0) + int(suspect.size)
-    r2 = _batch_rank_mod(mats[suspect], p2)
-    agree = (r2 == out[suspect]) & (log_h[suspect] < log_p1 + math.log(p2))
-    for i in suspect[~agree]:
+        out[on_float] = _batch_rank_float(mats[on_float], profile)
+    live = np.flatnonzero(~on_float)
+    log_prod = 0.0
+    for i, p in enumerate(_certifying_primes(primes)):
+        out[live] = np.maximum(out[live], _batch_rank_mod(mats[live], p))
+        log_prod += math.log(p)
+        live = live[(out[live] < full) & (log_h[live] >= log_prod * (1 - _LOG_SLACK))]
+        if live.size == 0:
+            return out
         if counters is not None:
-            counters["exact_fallback"] = counters.get("exact_fallback", 0) + 1
-        out[i] = exact_rank(mats[i])
-    return out
+            key = "second_prime" if i == 0 else "later_primes"
+            counters[key] = counters.get(key, 0) + int(live.size)
 
 
 # ---------------------------------------------------------------------------

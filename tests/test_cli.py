@@ -1,12 +1,18 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from ranklab.bounds import RegimeParams
 from ranklab.cli import SUBCOMMANDS, ConfigError, load_config, run
-from ranklab.experiments import RankTrialConfig, estimate_deficiency, kernel_structure_probe
+from ranklab.experiments import (
+    RankTrialConfig,
+    estimate_deficiency,
+    exhaustive_deficiency,
+    kernel_structure_probe,
+)
 from ranklab.matrix_core import RngStream, parse_distribution, save_matrix_text
 
 ALL_SUBCOMMANDS = [
@@ -215,11 +221,55 @@ def test_rank_runs_report_certification_counters(tmp_path, subcommand, dist, n, 
                         master_seed=5),
         direct,
     )
-    assert got == {"float_bareiss": 0, "second_prime": 0, "exact_fallback": 0, **direct}
+    assert got == {"float_bareiss": 0, "second_prime": 0, "later_primes": 0, **direct}
     if dist == "bernoulli(0.5)":
         assert got["float_bareiss"] == trials
     else:
         assert got["float_bareiss"] == 0 and got["second_prime"] > 0
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        "bernoulli(0.5)",  # every matrix on the float path
+        "atoms:-1000003:0.5,0:0.25,999999:0.25",  # mostly modular, some past the second prime
+    ],
+)
+def test_exhaustive_reports_certification_counters(tmp_path, dist):
+    out = tmp_path / "e"
+    assert run(["exhaustive", "--dist", dist, "--n", "3", "--out", str(out)]) == 0
+    result = json.loads((tmp_path / "e.json").read_text())["result"]
+    direct: dict = {}
+    ex = exhaustive_deficiency(parse_distribution(dist), 3, direct)
+    assert result["exact"] == ex.to_record()
+    got = result["counters"]
+    assert got == {"float_bareiss": 0, "second_prime": 0, "later_primes": 0, **direct}
+    if dist == "bernoulli(0.5)":
+        assert got["float_bareiss"] == ex.states
+    else:
+        assert got["second_prime"] > 0 and got["later_primes"] > 0
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden,dist,n,k_max,trials",
+    [
+        # nearly every matrix is ranked modulo primes past the second
+        ("rank_prob_huge_atoms_n12.csv", "atoms:0:0.9,1000003:0.05,-999999:0.05", 12, 3, 2048),
+        # GF(p), with about 800 matrices on the second prime
+        ("rank_prob_bernoulli_0.1_n40.csv", "bernoulli(0.1)", 40, 2, 1024),
+    ],
+)
+def test_modular_certification_csv_bytes_are_pinned(tmp_path, golden, dist, n, k_max, trials):
+    out = tmp_path / "g"
+    assert run(["rank-prob", "--dist", dist, "--n", str(n), "--k-max", str(k_max),
+                "--trials", str(trials), "--seed", "1", "--out", str(out)]) == 0
+    assert (tmp_path / "g.csv").read_bytes() == (GOLDEN / golden).read_bytes()
+    counters = json.loads((tmp_path / "g.json").read_text())["result"]["counters"]
+    assert counters["second_prime"] > 0
+    assert (counters["later_primes"] > 0) == dist.startswith("atoms")
 
 
 def test_threads_flag_is_gone(tmp_path):
@@ -366,6 +416,20 @@ def test_kernel_probe_reports_scan_counters(tmp_path, argv, regime):
     assert got["ticks"] > 0
     # only a confirmed hit is refined, and every generous direction is one
     assert (got["refine_steps"] > 0) == (got["confirmed"] > 0) == (regime == (0.9, 0.9))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["round-demo", "--n", "3", "--draws", "0"],
+        ["qgt-adversarial", "--m", "3", "--n", "6", "--k", "1", "--matrices", "0"],
+    ],
+)
+def test_zero_counts_exit_2_with_no_files(tmp_path, capsys, argv):
+    # no draws or no matrices leave a mean or a frequency over nothing
+    assert run([*argv, "--out", str(tmp_path / "z")]) == 2
+    assert f"config error: bad value for '{argv[-2][2:]}'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_kernel_probe_refuses_k_0(tmp_path, capsys):

@@ -310,26 +310,106 @@ def test_batch_exact_ranks_second_prime_path():
     assert counters.get("second_prime", 0) >= 50
 
 
-def test_batch_exact_ranks_disagreement_falls_back():
-    # det = 5 vanishes mod the first prime only; the primes disagree and the
-    # exact engine must settle it
-    mats = np.array([np.diag([5, 1, 1]), np.diag([1, 1, 1])], dtype=np.int64)
-    counters: dict = {}
-    got = mc.batch_exact_ranks(mats, (5, 7), counters)
-    assert got.tolist() == [3, 3]
-    assert counters.get("exact_fallback", 0) == 1
+# the first primes below 2^31, which the certification loop takes after
+# the two it is given
+Q1, Q2, Q3 = 2147483647, 2147483629, 2147483587
 
 
-def test_batch_exact_ranks_agreement_beyond_prime_product_falls_back():
-    # det 6^2 - 1 = 5 * 7: ranks mod 5 and mod 7 agree on 1, but the
-    # matrix's column bound sqrt(3) * 24.75 = 42.9 exceeds 35, so agreement
-    # certifies nothing. The singular [[6, 2], [3, 1]] also agrees, and its
-    # own bound sqrt(3 * 18.75 * 20.75) = 34.2 < 35 certifies that.
-    mats = np.array([[[6, 1], [1, 6]], [[6, 2], [3, 1]]], dtype=np.int64)
-    counters: dict = {}
-    got = mc.batch_exact_ranks(mats, (5, 7), counters)
-    assert got.tolist() == [2, 1]
-    assert counters == {"second_prime": 2, "exact_fallback": 1}
+@pytest.mark.parametrize(
+    "mats,primes,ranks,counters",
+    [
+        # det 5 vanishes mod the first prime only; the rank rises to full
+        # at the second, which closes the matrix (the identity takes the
+        # float path)
+        pytest.param([np.diag([5, 1, 1]), np.eye(3)], (5, 7), [3, 3],
+                     {"float_bareiss": 1, "second_prime": 1}, id="rank-rise"),
+        # rank 2 mod 5 and 1 mod 7: the loop keeps the larger, and
+        # 5 * 7 > H = 2 * sqrt(36.75) = 12.1 certifies it
+        pytest.param([np.diag([7, 1, 0])], (5, 7), [2], {"second_prime": 1}, id="keeps-max"),
+        # det 6^2 - 1 = 5 * 7: ranks mod 5 and mod 7 agree on 1, but the
+        # matrix's column bound sqrt(3) * 24.75 = 42.9 exceeds 35, so it
+        # takes a third prime. The singular [[6, 2], [3, 1]] also agrees,
+        # and its own bound sqrt(3 * 18.75 * 20.75) = 34.2 < 35 closes it.
+        pytest.param([[[6, 1], [1, 6]], [[6, 2], [3, 1]]], (5, 7), [2, 1],
+                     {"second_prime": 2, "later_primes": 1}, id="agreement-beyond-product"),
+        # the stream's first two primes divide the determinant too, so the
+        # rank is full only mod the third
+        pytest.param([np.diag([5 * Q1, 7 * Q2, 1])], (5, 7), [3],
+                     {"second_prime": 1, "later_primes": 3}, id="third-stream-prime"),
+        # the given primes are the stream's top two and both divide det,
+        # with H = sqrt(3) * sqrt(2/3) * Q1 * Q2 above their product: the
+        # stream must skip them, or the repeat would close the matrix at 1
+        pytest.param([np.diag([Q1 * Q2, 1])], (Q1, Q2), [2],
+                     {"second_prime": 1, "later_primes": 1}, id="stream-skips-given"),
+        # the entry is H and equals the product of the primes, whose
+        # rounded logs can come out above log H: equality must not close it
+        pytest.param([[[3 * Q1]]], (3, Q1), [1], {"second_prime": 1, "later_primes": 1},
+                     id="product-equals-bound"),
+    ],
+)
+def test_certification_loop_examples(mats, primes, ranks, counters):
+    mats = np.array(mats, dtype=np.int64)
+    got: dict = {}
+    assert mc.batch_exact_ranks(mats, primes, got).tolist() == ranks == _exact_ranks(mats)
+    assert got == counters
+
+
+def test_certifying_primes_stream():
+    assert list(itertools.islice(mc._certifying_primes((5, 7)), 5)) == [5, 7, Q1, Q2, Q3]
+    assert list(itertools.islice(mc._certifying_primes((Q2, Q1)), 3)) == [Q2, Q1, Q3]
+
+
+@st.composite
+def prime_loop_stacks(draw):
+    """(primes, stack) of 1..4 x 1..4 matrices whose rows are scaled by
+    products of the given primes and the stream's first ones, with planted
+    row copies and zero rows: ranks mod several primes fall below the true
+    rank, and H passes ln p1, ln p1 p2 and several primes' product."""
+    primes = draw(st.sampled_from([(5, 7), (7, 5), (3, Q1), (Q1, Q2), (Q2, 11)]))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    bound = draw(st.sampled_from([1, 3, 2**20, 2**40]))
+    factors = [f for f in (1, *primes, primes[0] * primes[1], Q1, Q2, Q3, Q1 * Q2, 5 * Q1)
+               if f * bound < 2**63]
+    mats = []
+    for _ in range(draw(st.integers(1, 5))):
+        flat = draw(st.lists(st.integers(-bound, bound), min_size=rows * cols,
+                             max_size=rows * cols))
+        m = np.array(flat, dtype=np.int64).reshape(rows, cols)
+        for i in range(rows):
+            m[i] *= draw(st.sampled_from(factors))
+        for plant in draw(st.lists(st.sampled_from(["copy", "zero"]), max_size=2)):
+            i, j = (draw(st.integers(0, rows - 1)) for _ in range(2))
+            m[i] = m[j] if plant == "copy" else 0
+        mats.append(m)
+    return primes, np.stack(mats)
+
+
+@given(prime_loop_stacks())
+@settings(max_examples=150, deadline=None)
+def test_certification_loop_matches_exact_rank(case):
+    primes, mats = case
+    assert mc.batch_exact_ranks(mats, primes).tolist() == _exact_ranks(mats)
+
+
+def test_batch_exact_ranks_never_calls_exact_rank(monkeypatch):
+    # stacks whose deficient-looking matrices all went to exact_rank before
+    # the prime loop: sparse huge atoms, and bernoulli(0.3) centred on its
+    # binary mean, whose atoms are about 10^16
+    rng = np.random.default_rng(3)
+    huge = np.array([0, 1000003, -999999])[rng.choice(3, size=(256, 12, 12), p=[0.9, 0.05, 0.05])]
+    mu = Fraction(0.3)
+    centred = np.where(rng.random((512, 3, 3)) < 0.3, mu.denominator - mu.numerator, -mu.numerator)
+    stacks = [huge, centred]
+    wants = [_exact_ranks(m) for m in stacks]
+
+    def refuse(a):
+        raise AssertionError("batch_exact_ranks called exact_rank")
+
+    monkeypatch.setattr(mc, "exact_rank", refuse)
+    for mats, want in zip(stacks, wants):
+        counters: dict = {}
+        assert mc.batch_exact_ranks(mats, (Q1, Q2), counters).tolist() == want
+        assert counters["later_primes"] > 0
 
 
 def test_batch_exact_ranks_rejects_equal_primes():
@@ -368,6 +448,10 @@ def _exact_ranks(mats):
 
 def _entry_range(mats):
     return int(mats.min()), int(mats.max())
+
+
+def _profile(mats):
+    return mc._minor_log_profile(*_entry_range(mats), min(mats.shape[1:]))
 
 
 def _float_ranks_checked(mats, dtype=np.float64):
@@ -509,7 +593,7 @@ def test_kernels_accept_empty_stacks():
     for shape in ((0, 3, 3), (2, 0, 3), (2, 3, 0)):
         mats = np.zeros(shape, dtype=np.int64)
         want = [0] * shape[0]
-        assert mc._batch_rank_float(mats, 0, 0).tolist() == want
+        assert mc._batch_rank_float(mats, mc._minor_log_profile(0, 0, min(shape[1:]))).tolist() == want
         assert mc._batch_rank_mod(mats, P31).tolist() == want
         assert mc.batch_exact_ranks(mats, (5, 7)).tolist() == want
 
@@ -545,7 +629,8 @@ def test_threshold_entries_straddle_float_bound():
     assert mc._hadamard_log_bound(45, 4) < FLOAT_LOG_BOUND < mc._hadamard_log_bound(46, 4)
     # on a symmetric stack (lo = -hi) the shift bound is no help
     for top in (45, 46):
-        assert mc._shift_log_bound(-top, top, 4) > mc._hadamard_log_bound(top, 4)
+        assert mc._shift_log_term(0, top, 4) > mc._hadamard_log_bound(top, 4)
+        assert mc._minor_log_profile(-top, top, 4)[-1] == mc._hadamard_log_bound(top, 4)
 
 
 @given(st.sampled_from([45, 46]).flatmap(threshold_stacks))
@@ -555,7 +640,7 @@ def test_float_path_taken_exactly_below_bound(mats):
     want = _exact_ranks(mats)
     p1 = mc.random_prime(mc.RngStream(8, 1), 31)
     p2 = mc.random_prime(mc.RngStream(8, 2), 31)
-    on_float = mc._minor_log_bounds(mats, *_entry_range(mats), FLOAT_LOG_BOUND) < FLOAT_LOG_BOUND
+    on_float = mc._minor_log_bounds(mats, _profile(mats)[-1], FLOAT_LOG_BOUND) < FLOAT_LOG_BOUND
     counters: dict = {}
     assert mc.batch_exact_ranks(mats, (p1, p2), counters).tolist() == want
     assert counters.get("float_bareiss", 0) == on_float.sum()
@@ -569,7 +654,7 @@ def test_float_path_taken_exactly_below_bound(mats):
             if np.array_equal(m @ m.T, 4 * top * top * np.eye(4)):
                 assert not fl
     if on_float.any():
-        got = mc._batch_rank_float(mats[on_float], *_entry_range(mats))
+        got = mc._batch_rank_float(mats[on_float], _profile(mats))
         assert got.tolist() == np.array(want)[on_float].tolist()
 
 
@@ -581,8 +666,8 @@ def test_float32_kernel_matches_exact_rank_below_its_cut(mats):
     want = _exact_ranks(mats)
     assert _float_ranks_checked(mats, np.float32) == want
     side = min(mats.shape[1:])
-    assert mc._float32_depth(*_entry_range(mats), side) == side
-    assert mc._batch_rank_float(mats, *_entry_range(mats)).tolist() == want
+    assert mc._float32_depth(_profile(mats)) == side
+    assert mc._batch_rank_float(mats, _profile(mats)).tolist() == want
 
 
 @pytest.mark.parametrize(
@@ -594,7 +679,7 @@ def test_float32_depth_examples(lo, hi, side, depth):
     # 0/1 at 16 stops at the shift bound (12^6 / 2^11 < 2^11.5 < 13^6.5 / 2^12),
     # +-1 at 10 at the Hadamard bound (7^3.5 < 2^11.5 < 8^4)
     assert _top_entry(1, FLOAT32_LOG_BOUND) == 2896
-    assert mc._float32_depth(lo, hi, side) == depth
+    assert mc._float32_depth(mc._minor_log_profile(lo, hi, side)) == depth
 
 
 def test_float32_columns_resume_as_one_float64_pass():
@@ -608,7 +693,7 @@ def test_float32_columns_resume_as_one_float64_pass():
         mats[::2, -1] = mats[::2, 0] - mats[::2, 1] // 2 * 2
         a = mats.transpose(2, 1, 0).astype(np.float64, order="C")
         want = mc._eliminate(a, None)
-        depth = mc._float32_depth(lo, hi, side)
+        depth = mc._float32_depth(mc._minor_log_profile(lo, hi, side))
         b = mats.transpose(2, 1, 0).astype(np.float32, order="C")
         rank, prev = mc._eliminate(b, None, depth)
         b = b[depth:].astype(np.float64, order="C")
@@ -619,7 +704,7 @@ def test_float32_columns_resume_as_one_float64_pass():
     a = past.astype(np.float32, order="C")
     mc._eliminate(a, None, 1)
     assert int(a[1, 1, 0]) != 16782321
-    assert mc._float32_depth(-2897, 2897, 2) == 0
+    assert mc._float32_depth(mc._minor_log_profile(-2897, 2897, 2)) == 0
 
 
 @pytest.mark.parametrize("lo,hi,side,depth", [(0, 1, 16, 11), (-1, 1, 10, 7), (-3, 3, 8, 4)])
@@ -674,14 +759,15 @@ def _det(rows):
     return det
 
 
-def _largest_minor(m):
-    """max |det| over every square minor of m, the empty minor (1) included."""
+def _largest_minors(m):
+    """Per size k = 0..min(rows, cols), max |det| over the k x k minors of m;
+    the empty minor, size 0, is 1."""
     rows, cols = len(m), len(m[0])
-    best = Fraction(1)
+    best = [Fraction(1)]
     for k in range(1, min(rows, cols) + 1):
-        for ri in itertools.combinations(range(rows), k):
-            for ci in itertools.combinations(range(cols), k):
-                best = max(best, abs(_det([[m[i][j] for j in ci] for i in ri])))
+        best.append(max(abs(_det([[m[i][j] for j in ci] for i in ri]))
+                        for ri in itertools.combinations(range(rows), k)
+                        for ci in itertools.combinations(range(cols), k)))
     return best
 
 
@@ -723,14 +809,20 @@ def test_minor_bounds_hold_for_every_minor(box, scale):
     # such as [0, 1/4] it sits at a smaller k
     lo, hi, mats = box
     side = min(mats.shape[1:])
-    shift = mc._shift_log_bound(lo / scale, hi / scale, side)
+    c, d = (lo + hi) / (2 * scale), (hi - lo) / (2 * scale)
+    profile = mc._minor_log_profile(lo / scale, hi / scale, side)
     cols = mc._column_log_bounds(mats / scale)
     # cut 0: the least of all three bounds
-    combined = mc._minor_log_bounds(mats, *_entry_range(mats), 0.0)
+    combined = mc._minor_log_bounds(mats, _profile(mats)[-1], 0.0)
     stack_centred = _stack_centred_column_log_bounds(mats / scale, (lo + hi) / (2 * scale))
     for i, m in enumerate(mats):
-        log_minor = math.log(_largest_minor([[Fraction(int(x), scale) for x in row] for row in m]))
-        assert log_minor <= shift + 1e-9
+        minors = _largest_minors([[Fraction(int(x), scale) for x in row] for row in m])
+        for k, minor in enumerate(minors):
+            # profile[k] bounds the minors of size k, and so the running
+            # maximum covers every smaller size too
+            assert minor == 0 or math.log(minor) <= profile[k] + 1e-9
+            assert k == 0 or minor == 0 or math.log(minor) <= mc._shift_log_term(c, d, k) + 1e-9
+        log_minor = math.log(max(minors))
         assert log_minor <= cols[i] + 1e-9
         # per-column centres minimize each bordered column norm
         assert cols[i] <= stack_centred[i] + 1e-9
@@ -740,15 +832,15 @@ def test_minor_bounds_hold_for_every_minor(box, scale):
 
 def test_minor_bound_examples():
     # 0/1 at n = 16: 12.99, under 26 ln 2 where the Hadamard bound is 22.18
-    assert mc._shift_log_bound(0, 1, 16) == pytest.approx(12.9920, abs=1e-4)
+    assert mc._minor_log_profile(0, 1, 16)[-1] == pytest.approx(12.9920, abs=1e-4)
     # the 3 x 3 0/1 matrix of determinant 2 needs the sqrt(k+1) factor
-    assert mc._shift_log_bound(0, 1, 3) >= math.log(2)
+    assert mc._minor_log_profile(0, 1, 3)[-1] >= math.log(2)
     # [0, 1/4]: the largest minor is the empty one, not a side-2 minor
-    assert mc._shift_log_bound(0, 0.25, 2) == 0.0
+    assert mc._minor_log_profile(0, 0.25, 2) == [0.0, 0.0, 0.0]
     # a 1 x 5 row of ones: its column norms sit below 1, clamped to 1
     ones = np.ones((1, 1, 5), dtype=np.int64)
     assert mc._column_log_bounds(ones)[0] == pytest.approx(0.5 * math.log(2))
-    assert mc._minor_log_bounds(np.zeros((2, 3, 3), dtype=np.int64), 0, 0, 0.0).tolist() == [0.0, 0.0]
+    assert mc._minor_log_bounds(np.zeros((2, 3, 3), dtype=np.int64), 0.0, 0.0).tolist() == [0.0, 0.0]
 
 
 def test_batch_exact_ranks_mixed_float_and_modular():
@@ -799,8 +891,12 @@ def test_batch_exact_ranks_int64_min_entry():
     # |INT64_MIN| is not an int64; read as one, it hid the entry from the
     # bound and sent the matrix to float elimination, which lost the rank
     m = np.array([[[-(2**63), 0, -2], [-1, 1, 2], [-1, -1, -2]]], dtype=np.int64)
-    assert mc.batch_exact_ranks(m, (2147483647, 2147483629)).tolist() == [3]
-    assert mc._minor_log_bounds(m, -(2**63), 2, math.inf).tolist() == [mc._hadamard_log_bound(2.0**63, 3)]
+    assert mc.batch_exact_ranks(m, (Q1, Q2)).tolist() == [3]
+    # the bound is the shift term around c = (2 - 2^63)/2, below the Hadamard bound
+    bound = mc._minor_log_profile(-(2**63), 2, 3)[-1]
+    assert bound == mc._shift_log_term((2 - 2**63) / 2, (2 + 2**63) / 2, 3)
+    assert bound < mc._hadamard_log_bound(2.0**63, 3)
+    assert mc._minor_log_bounds(m, bound, math.inf).tolist() == [bound]
 
 
 # --- text IO ---------------------------------------------------------------
